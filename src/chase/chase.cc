@@ -86,6 +86,13 @@ ChaseResult RunChase(const Program& program, const Instance& database,
       const Tgd& tgd = program.tgds()[tgd_index];
       for (size_t anchor = 0; anchor < tgd.body.size() && !stop; ++anchor) {
         const Atom& anchor_pattern = tgd.body[anchor];
+        // The body atoms the anchored match completes against the full
+        // instance: fixed per (rule, anchor), so built once for the delta.
+        std::vector<Atom> rest;
+        rest.reserve(tgd.body.size() - 1);
+        for (size_t i = 0; i < tgd.body.size(); ++i) {
+          if (i != anchor) rest.push_back(tgd.body[i]);
+        }
         for (const Atom& delta_atom : delta) {
           if (stop) break;
           if (delta_atom.predicate != anchor_pattern.predicate) continue;
@@ -104,12 +111,6 @@ ChaseResult RunChase(const Program& program, const Instance& database,
             }
           }
           if (!consistent) continue;
-
-          std::vector<Atom> rest;
-          rest.reserve(tgd.body.size() - 1);
-          for (size_t i = 0; i < tgd.body.size(); ++i) {
-            if (i != anchor) rest.push_back(tgd.body[i]);
-          }
 
           // Matching must not run concurrently with insertions (relation
           // vectors may reallocate): buffer the triggers, apply after.

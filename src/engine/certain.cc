@@ -11,11 +11,34 @@
 
 namespace vadalog {
 
+std::vector<CertainAnswerSet> CertainAnswersViaChaseChecked(
+    const Program& program, const Instance& database,
+    std::span<const ConjunctiveQuery> queries, const ChaseOptions& options) {
+  std::vector<CertainAnswerSet> results(queries.size());
+  ChaseResult chase = RunChase(program, database, options);
+  if (chase.stop_reason == ChaseStopReason::kUnsupported) {
+    for (CertainAnswerSet& result : results) {
+      result.error = "the chase does not support negation";
+    }
+    return results;
+  }
+  // A budget-stopped chase, or one whose depth cap skipped a step, is a
+  // prefix of chase(D, Σ): its answers hold but may not be all of them.
+  bool complete = chase.Saturated() && chase.steps_skipped_depth == 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    results[i].answers =
+        EvaluateQuerySorted(queries[i], chase.instance, /*certain_only=*/true);
+    results[i].complete = complete;
+  }
+  return results;
+}
+
 std::vector<std::vector<Term>> CertainAnswersViaChase(
     const Program& program, const Instance& database,
     const ConjunctiveQuery& query, const ChaseOptions& options) {
-  ChaseResult chase = RunChase(program, database, options);
-  return EvaluateQuerySorted(query, chase.instance, /*certain_only=*/true);
+  std::vector<CertainAnswerSet> pool =
+      CertainAnswersViaChaseChecked(program, database, {&query, 1}, options);
+  return std::move(pool.front().answers);
 }
 
 bool IsCertainViaLinearSearch(const Program& program, const Instance& database,

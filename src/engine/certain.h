@@ -5,6 +5,8 @@
 #ifndef VADALOG_ENGINE_CERTAIN_H_
 #define VADALOG_ENGINE_CERTAIN_H_
 
+#include <span>
+#include <string>
 #include <vector>
 
 #include "ast/program.h"
@@ -15,13 +17,6 @@
 #include "storage/instance.h"
 
 namespace vadalog {
-
-/// cert(q, D, Σ) by materializing chase(D, Σ) (with the Vadalog
-/// termination control) and evaluating q over it, keeping tuples of
-/// constants only (Proposition 2.1). Sorted and deduplicated.
-std::vector<std::vector<Term>> CertainAnswersViaChase(
-    const Program& program, const Instance& database,
-    const ConjunctiveQuery& query, const ChaseOptions& options = {});
 
 /// Verifies one candidate tuple with the linear bounded proof search
 /// (complete for WARD ∩ PWL programs with single-head TGDs).
@@ -54,6 +49,27 @@ struct CertainAnswerSet {
   /// Scripted callers must distinguish this from "no certain answers".
   std::string error;
 };
+
+/// cert(q, D, Σ) for every query of `queries` from ONE materialization of
+/// chase(D, Σ) (with the Vadalog termination control): each query is
+/// evaluated over the same instance, keeping tuples of constants only
+/// (Proposition 2.1), and the instance is dropped on return. One result
+/// per query, in order. A chase cut short by a budget (max_steps,
+/// max_atoms, or a max_depth that skipped a step) is not chase(D, Σ):
+/// every result then has `complete` false — its answers are sound but
+/// possibly missing some. A program the chase cannot run (negation) gets
+/// `error` set on every result.
+std::vector<CertainAnswerSet> CertainAnswersViaChaseChecked(
+    const Program& program, const Instance& database,
+    std::span<const ConjunctiveQuery> queries,
+    const ChaseOptions& options = {});
+
+/// Answers-only single-query wrapper: a pool of one over
+/// CertainAnswersViaChaseChecked. Sorted and deduplicated. Safe when the
+/// options carry no budget; with budgets, prefer the Checked variant.
+std::vector<std::vector<Term>> CertainAnswersViaChase(
+    const Program& program, const Instance& database,
+    const ConjunctiveQuery& query, const ChaseOptions& options = {});
 
 /// Enumerates cert(q, D, Σ) purely via proof search: every distinct tuple
 /// over the constants of dom(D) (respecting repeated output variables) is

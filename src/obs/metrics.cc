@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-
 namespace vadalog {
 namespace obs {
 
@@ -19,12 +17,8 @@ MetricsRegistry::Entry* MetricsRegistry::FindOrCreate(const std::string& name,
                                                       const std::string& help,
                                                       MetricType type) {
   base::MutexLock lock(&mutex_);
-  for (const std::unique_ptr<Entry>& entry : entries_) {
-    if (entry->type == type && entry->name == name &&
-        entry->labels == labels) {
-      return entry.get();
-    }
-  }
+  auto found = entries_.find(ByIdentity::Key{name, labels, type});
+  if (found != entries_.end()) return found->get();
   auto entry = std::make_unique<Entry>();
   entry->name = name;
   entry->labels = labels;
@@ -41,8 +35,7 @@ MetricsRegistry::Entry* MetricsRegistry::FindOrCreate(const std::string& name,
       entry->histogram = std::make_unique<Histogram>();
       break;
   }
-  entries_.push_back(std::move(entry));
-  return entries_.back().get();
+  return entries_.insert(std::move(entry)).first->get();
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name,
@@ -73,11 +66,6 @@ std::vector<Sample> MetricsRegistry::Snapshot() const {
       ordered.push_back(entry.get());
     }
   }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const Entry* a, const Entry* b) {
-              if (a->name != b->name) return a->name < b->name;
-              return a->labels < b->labels;
-            });
   std::vector<Sample> samples;
   samples.reserve(ordered.size());
   for (const Entry* entry : ordered) {

@@ -38,7 +38,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -205,11 +207,29 @@ class MetricsRegistry {
   Entry* FindOrCreate(const std::string& name, const LabelSet& labels,
                       const std::string& help, MetricType type);
 
+  /// Orders entries by identity (name, labels, type). Transparent, so a
+  /// lookup compares against the caller's arguments without building an
+  /// Entry.
+  struct ByIdentity {
+    using is_transparent = void;
+    using Key = std::tuple<const std::string&, const LabelSet&, MetricType>;
+    static Key Of(const Key& key) { return key; }
+    static Key Of(const std::unique_ptr<Entry>& entry) {
+      return {entry->name, entry->labels, entry->type};
+    }
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const { return Of(a) < Of(b); }
+  };
+
   mutable base::Mutex mutex_;
-  /// Append-only; an Entry's fields are immutable once pushed, so
-  /// Snapshot may read them through copied pointers after dropping the
-  /// lock (only the vector itself needs the capability).
-  std::vector<std::unique_ptr<Entry>> entries_ GUARDED_BY(mutex_);
+  /// Ordered by identity, so a registration is one logarithmic lookup (a
+  /// daemon registers a couple of dozen instruments per session; a linear
+  /// scan made loading N sessions quadratic) and the set's order is
+  /// Snapshot's (name, labels) order. Never erased, and an Entry's fields
+  /// are immutable once inserted, so Snapshot may read them through
+  /// copied pointers after dropping the lock (only the set itself needs
+  /// the capability).
+  std::set<std::unique_ptr<Entry>, ByIdentity> entries_ GUARDED_BY(mutex_);
 };
 
 /// The per-(session, engine) proof-search counters, plumbed to the

@@ -49,7 +49,7 @@ constexpr KeyDoc kKeyDocs[] = {
     {"unix", "Unix-domain socket path, empty = disabled"},
     {"workers", "worker pool size (>= 1); thread budget = 1 loop + workers"},
     {"search_threads", "default parallel-search threads per query (>= 1)"},
-    {"cache_bytes", "per-session proof-cache eviction threshold"},
+    {"cache_bytes", "per-session proof-cache + answer-memo byte cap"},
     {"max_inflight", "global in-flight request cap (>= 1)"},
     {"max_inflight_per_session", "per-session in-flight cap (>= 1)"},
     {"max_connections", "open client connection cap (>= 1)"},

@@ -45,7 +45,8 @@ struct ServerConfig {
   /// Default parallel-search threads per query ("threads" overrides).
   uint32_t search_threads = 1;
 
-  /// Generational eviction threshold for each session's proof cache.
+  /// Generational eviction threshold for each session's proof cache and
+  /// answer memo together.
   size_t cache_byte_limit = 64ull << 20;
 
   /// Admission control: caps on in-flight (queued + executing) requests,

@@ -330,16 +330,22 @@ void Server::EventLoop() {
     // (unbounded, idle) poll wait above is deliberately excluded.
     auto batch_start = std::chrono::steady_clock::now();
     closed_in_batch_.clear();
+    // Read the wake-up pipe dry BEFORE swapping the completion queue. A
+    // worker pushes its completion, then writes its byte: one that
+    // completes after the swap below leaves a fresh byte for the next
+    // Wait. Draining the pipe after the swap could swallow that byte and
+    // strand the reply until some unrelated socket event.
+    for (const Poller::Event& event : events) {
+      if (event.fd != wakeup_read_) continue;
+      counters_.wakeups->Add(1);
+      char drain[256];
+      while (::read(wakeup_read_, drain, sizeof drain) > 0) {
+      }
+    }
     DrainCompletions();
     for (const Poller::Event& event : events) {
       if (closed_in_batch_.count(event.fd) != 0) continue;  // stale event
-      if (event.fd == wakeup_read_) {
-        counters_.wakeups->Add(1);
-        char drain[256];
-        while (::read(wakeup_read_, drain, sizeof drain) > 0) {
-        }
-        continue;
-      }
+      if (event.fd == wakeup_read_) continue;  // read dry above
       bool is_listener = false;
       for (int fd : listen_fds_) {
         if (fd == event.fd) {

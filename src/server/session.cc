@@ -21,19 +21,15 @@ EngineChoice EngineFromName(const std::string& name) {
   return EngineChoice::kAuto;
 }
 
-protocol::AnswerTable RenderAnswers(
-    const Reasoner& reasoner,
-    const std::vector<std::vector<Term>>& answers) {
+protocol::AnswerTable RenderAnswers(const Reasoner& reasoner, size_t rows,
+                                    size_t columns,
+                                    const std::vector<Term>& cells) {
   protocol::AnswerTable table;
-  table.row_count = answers.size();
-  table.columns = answers.empty() ? 0 : answers.front().size();
-  table.cells.reserve(table.row_count * table.columns);
+  table.row_count = rows;
+  table.columns = columns;
+  table.cells.reserve(cells.size());
   const SymbolTable& symbols = reasoner.program().symbols();
-  for (const std::vector<Term>& tuple : answers) {
-    for (Term t : tuple) {
-      table.cells.push_back(symbols.TermToString(t));
-    }
-  }
+  for (Term t : cells) table.cells.push_back(symbols.TermToString(t));
   return table;
 }
 
@@ -79,9 +75,15 @@ Session::Session(std::string name, std::unique_ptr<Reasoner> reasoner,
   metrics_.slow_queries = registry->GetCounter(
       "vadalog_session_slow_queries_total", labels,
       "requests recorded in the slow-query log");
+  metrics_.answer_memo_hits = registry->GetCounter(
+      "vadalog_session_answer_memo_hits_total", labels,
+      "pooled enumerations served from the answer memo");
+  metrics_.answer_memo_misses = registry->GetCounter(
+      "vadalog_session_answer_memo_misses_total", labels,
+      "pooled enumerations that materialized to fill the answer memo");
   metrics_.cache_bytes = registry->GetGauge(
       "vadalog_session_cache_bytes", labels,
-      "approximate bytes held by the session's proof cache");
+      "approximate bytes of the session's proof cache and answer memo");
   metrics_.cache_lookups = registry->GetGauge(
       "vadalog_session_cache_lookups", labels,
       "proof-cache probes in the current cache generation");
@@ -119,6 +121,17 @@ ReasonerOptions Session::BuildOptions(const Request& request) const {
   return options;
 }
 
+size_t Session::MemoBytes() {
+  base::MutexLock lock(&memo_mutex_);
+  return memo_bytes_;
+}
+
+void Session::ClearMemo() {
+  base::MutexLock lock(&memo_mutex_);
+  memo_.clear();
+  memo_bytes_ = 0;
+}
+
 void Session::FinishCacheUse() {
   size_t bytes;
   {
@@ -133,18 +146,20 @@ void Session::FinishCacheUse() {
     metrics_.cache_probe_hits->Set(static_cast<int64_t>(
         stats.hits.load(std::memory_order_relaxed)));
   }
+  bytes += MemoBytes();
   if (bytes > options_.cache_byte_limit) {
     // Generational eviction: drop the whole generation, start warm
-    // again from empty (entries cannot be evicted individually).
-    // Replacing the cache_ pointer needs the exclusive lock; re-check
-    // under it — a concurrent query may have evicted first, and
-    // evicting twice would throw away the second fresh generation's
-    // warmth for nothing.
+    // again from empty (entries cannot be evicted individually), and the
+    // answer memo with it. Replacing the cache_ pointer needs the
+    // exclusive lock; re-check under it — a concurrent query may have
+    // evicted first, and evicting twice would throw away the second
+    // fresh generation's warmth for nothing.
     base::WriterLock cache_lock(&cache_mutex_);
-    bytes = cache_->ApproximateBytes();
+    bytes = cache_->ApproximateBytes() + MemoBytes();
     if (bytes > options_.cache_byte_limit) {
       cache_ = std::make_unique<ProofSearchCache>(reasoner_->program(),
                                                   reasoner_->database());
+      ClearMemo();
       metrics_.cache_evictions->Add(1);
       bytes = cache_->ApproximateBytes();
     }
@@ -160,9 +175,76 @@ void Session::RunSearch(const ConjunctiveQuery& query,
   spans->search_us = ElapsedUs(search_start);
   if (set->error.empty()) {
     auto encode_start = std::chrono::steady_clock::now();
-    *table = RenderAnswers(*reasoner_, set->answers);
+    AnswerRows rows = Flatten(set->answers);
+    *table = RenderAnswers(*reasoner_, rows.rows, rows.columns, rows.cells);
     spans->encode_us = ElapsedUs(encode_start);
   }
+}
+
+Session::AnswerRows Session::Flatten(
+    const std::vector<std::vector<Term>>& answers) {
+  AnswerRows flat;
+  flat.rows = answers.size();
+  flat.columns = answers.empty() ? 0 : answers.front().size();
+  flat.cells.reserve(flat.rows * flat.columns);
+  for (const std::vector<Term>& tuple : answers) {
+    flat.cells.insert(flat.cells.end(), tuple.begin(), tuple.end());
+  }
+  return flat;
+}
+
+void Session::ServeFromMemo(size_t index, const ReasonerOptions& options,
+                            CertainAnswerSet* set, protocol::AnswerTable* table,
+                            obs::TraceSpans* spans) {
+  auto search_start = std::chrono::steady_clock::now();
+  std::shared_ptr<const AnswerRows> entry;
+  {
+    base::MutexLock lock(&memo_mutex_);
+    if (index < memo_.size()) entry = memo_[index];
+  }
+  if (entry != nullptr) {
+    metrics_.answer_memo_hits->Add(1);
+  } else {
+    metrics_.answer_memo_misses->Add(1);
+    // One materialization answers the whole pool; the instance is gone
+    // again when this returns.
+    std::vector<CertainAnswerSet> pool = reasoner_->AnswerAllByMaterialization(
+        reasoner_->program().queries(), options.chase);
+    // Every result of one materialization shares its error and
+    // completeness, so `index`'s decide whether the fill is kept: an
+    // incomplete (budget-cut) or failed one never is.
+    set->complete = pool[index].complete;
+    set->error = pool[index].error;
+    std::vector<std::shared_ptr<const AnswerRows>> entries;
+    entries.reserve(pool.size());
+    for (const CertainAnswerSet& result : pool) {
+      entries.push_back(std::make_shared<AnswerRows>(Flatten(result.answers)));
+    }
+    entry = entries[index];
+    if (set->complete && set->error.empty()) PublishMemo(std::move(entries));
+  }
+  spans->search_us = ElapsedUs(search_start);
+  if (set->error.empty()) {
+    auto encode_start = std::chrono::steady_clock::now();
+    *table = RenderAnswers(*reasoner_, entry->rows, entry->columns,
+                           entry->cells);
+    spans->encode_us = ElapsedUs(encode_start);
+  }
+}
+
+void Session::PublishMemo(
+    std::vector<std::shared_ptr<const AnswerRows>> entries) {
+  {
+    base::MutexLock lock(&memo_mutex_);
+    if (memo_.empty()) {
+      memo_bytes_ = entries.size() * sizeof(entries[0]);
+      for (const auto& rows : entries) {
+        memo_bytes_ += sizeof(AnswerRows) + rows->cells.size() * sizeof(Term);
+      }
+      memo_ = std::move(entries);
+    }
+  }
+  FinishCacheUse();
 }
 
 bool Session::ResolveQuery(const Request& request, ConjunctiveQuery* query,
@@ -222,7 +304,13 @@ protocol::Response Session::Query(const Request& request) {
   bool waited = false;
   {
     base::ReaderLock data(&data_mutex_);
-    if (uses_proof_cache) {
+    if (request.query_text.empty() &&
+        reasoner_->AnswersByMaterialization(options.engine)) {
+      // A pooled enumeration answered by materialization: the answer memo
+      // serves it (filling on a miss). Inline texts are not pooled.
+      ServeFromMemo(static_cast<size_t>(request.query_index), options, &set,
+                    &table, &spans);
+    } else if (uses_proof_cache) {
       // Proof-search queries share the cache: the session lock is taken
       // SHARED (it only pins the cache_ pointer against a concurrent
       // generational eviction or delta migration), and the cache's own
@@ -465,6 +553,10 @@ JsonValue Session::AddFacts(const Request& request) {
   metrics_.facts_added->Add(added);
   ProofSearchCache::DeltaInvalidation invalidation;
   if (!delta.empty()) {
+    // New facts can add answers to any pooled query: the memo answered
+    // the old state. Cleared under the exclusive data lock, so no fill of
+    // the old state can publish after this.
+    ClearMemo();
     // No query can hold the cache here (queries hold the data lock
     // shared while they do), but the exclusive cache lock is still the
     // contract for migrating it. Delta maintenance instead of a rebuild:
@@ -523,7 +615,7 @@ JsonValue Session::StatsObject() {
     // request stale) is reported instead of blocking the stats path.
     if (cache_mutex_.TryLockShared()) {
       metrics_.cache_bytes->Set(
-          static_cast<int64_t>(cache_->ApproximateBytes()));
+          static_cast<int64_t>(cache_->ApproximateBytes() + MemoBytes()));
       cache_mutex_.UnlockShared();
     }
   }
@@ -543,6 +635,10 @@ JsonValue Session::StatsObject() {
              JsonValue::Number(metrics_.cache_invalidated_entries->Value()));
   object.Set("facts_added",
              JsonValue::Number(metrics_.facts_added->Value()));
+  object.Set("answer_memo_hits",
+             JsonValue::Number(metrics_.answer_memo_hits->Value()));
+  object.Set("answer_memo_misses",
+             JsonValue::Number(metrics_.answer_memo_misses->Value()));
   return object;
 }
 

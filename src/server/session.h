@@ -24,8 +24,22 @@
 //   * ADD_FACTS is all-or-nothing including the symbol table: a failed
 //     batch rolls back its interning generation, so repeated failing
 //     batches do not grow the table (see SymbolTable::RollbackGeneration);
-//   * the cache has a byte cap: when a request leaves it oversized it is
-//     generationally evicted (dropped and rebuilt empty), counted in
+//   * enumerations answered by materialization (engine auto/chase, or any
+//     engine on a stratified-negation program) of a *pooled* query — one
+//     sent by query_index — are served from the session's answer memo:
+//     the sorted certain answers of every query in the loaded program,
+//     all filled by ONE chase (or Datalog fixpoint) on the first miss and
+//     published while the shared data lock is still held, so a
+//     concurrent ADD_FACTS (exclusive) can never be overtaken by a stale
+//     fill. The materialized instance itself is dropped: the memo keeps
+//     answers, not models. An ADD_FACTS that inserts at least one fact
+//     clears it; a duplicate-only or failed batch keeps it. Inline query
+//     texts and the proof-search engines never touch it. Counted in
+//     `answer_memo_hits` / `answer_memo_misses`;
+//   * the cache has a byte cap covering the proof cache and the answer
+//     memo together (both are reported as `cache_bytes`): when a request
+//     leaves them oversized the proof cache is generationally evicted
+//     (dropped and rebuilt empty) and the memo cleared, counted in
 //     `cache_evictions`. Entries cannot be evicted individually — a
 //     SubsumptionIndex never forgets — so wholesale generations keep the
 //     accounting simple and the worst case bounded at roughly one warm
@@ -62,7 +76,8 @@
 namespace vadalog {
 
 struct SessionOptions {
-  /// Generational eviction threshold for the per-session cache.
+  /// Generational eviction threshold for the per-session proof cache and
+  /// answer memo together.
   size_t cache_byte_limit = 64ull << 20;
   /// Default worker threads per proof search — linear frontier levels
   /// and alternating branch tasks alike; a QUERY's "threads" field
@@ -101,11 +116,11 @@ class Session {
   /// error) correlated to `request.id`. Query carries its answers as a
   /// structured table (rendered per-encoding by the transport).
   JsonValue AddFacts(const protocol::Request& request)
-      EXCLUDES(data_mutex_, cache_mutex_);
+      EXCLUDES(data_mutex_, cache_mutex_, memo_mutex_);
   protocol::Response Query(const protocol::Request& request)
-      EXCLUDES(data_mutex_, cache_mutex_);
+      EXCLUDES(data_mutex_, cache_mutex_, memo_mutex_);
   JsonValue Explain(const protocol::Request& request)
-      EXCLUDES(data_mutex_, cache_mutex_);
+      EXCLUDES(data_mutex_, cache_mutex_, memo_mutex_);
 
   /// ANALYZE: re-parses the stored program text through the lint driver
   /// (analysis/lint.h) and returns the diagnostics as a JSON array plus
@@ -116,7 +131,7 @@ class Session {
 
   /// One {"name":...,"rules":...,...} stats object; lock-free counters
   /// plus a shared-lock peek at the program sizes.
-  JsonValue StatsObject() EXCLUDES(data_mutex_, cache_mutex_);
+  JsonValue StatsObject() EXCLUDES(data_mutex_, cache_mutex_, memo_mutex_);
 
   /// LOAD_PROGRAM's response payload (classification, sizes).
   JsonValue DescribeLoaded(const JsonValue& id) EXCLUDES(data_mutex_);
@@ -137,6 +152,9 @@ class Session {
     obs::Counter* cache_invalidated_entries = nullptr;
     obs::Counter* facts_added = nullptr;
     obs::Counter* slow_queries = nullptr;
+    obs::Counter* answer_memo_hits = nullptr;
+    obs::Counter* answer_memo_misses = nullptr;
+    /// Proof cache plus answer memo bytes.
     obs::Gauge* cache_bytes = nullptr;
     /// Current generation's proof-cache probe totals (reset by
     /// eviction, hence gauges not counters).
@@ -155,6 +173,16 @@ class Session {
 
   ReasonerOptions BuildOptions(const protocol::Request& request) const;
 
+  /// One pooled query's certain answers as the memo keeps them: Terms,
+  /// row-major in one flat vector (no allocation per row), rendered to
+  /// strings on every hit.
+  struct AnswerRows {
+    size_t rows = 0;
+    size_t columns = 0;
+    std::vector<Term> cells;
+  };
+  static AnswerRows Flatten(const std::vector<std::vector<Term>>& answers);
+
   /// The search + answer-render step of Query, factored out so the
   /// cache-holding and cache-free paths stay branch-uniform for the
   /// thread-safety analysis (a lock held on one arm of a join is a
@@ -163,18 +191,40 @@ class Session {
                  CertainAnswerSet* set, protocol::AnswerTable* table,
                  obs::TraceSpans* spans) REQUIRES_SHARED(data_mutex_);
 
+  /// RunSearch for the pooled query `index` of a program answered by
+  /// materialization: a memo hit renders the kept answers; a miss
+  /// materializes once, answers every pooled query, and publishes them
+  /// all (when complete) before returning. `set` carries only the
+  /// completeness/error signal — the answers go straight to `table`.
+  void ServeFromMemo(size_t index, const ReasonerOptions& options,
+                     CertainAnswerSet* set, protocol::AnswerTable* table,
+                     obs::TraceSpans* spans) REQUIRES_SHARED(data_mutex_)
+      EXCLUDES(cache_mutex_, memo_mutex_);
+
+  /// Installs a complete fill unless a concurrent miss got there first
+  /// (same database state, same answers), then applies the byte cap.
+  /// REQUIRES the data lock so no ADD_FACTS can slip between the
+  /// materialization and the publish.
+  void PublishMemo(std::vector<std::shared_ptr<const AnswerRows>> entries)
+      REQUIRES_SHARED(data_mutex_) EXCLUDES(cache_mutex_, memo_mutex_);
+
+  size_t MemoBytes() EXCLUDES(memo_mutex_);
+  void ClearMemo() EXCLUDES(memo_mutex_);
+
   /// Appends one JSON record to the slow-query log when the request's
   /// end-to-end time reached the configured threshold. No-op when the
   /// slow log is disabled.
   void MaybeLogSlowQuery(const protocol::Request& request,
                          const obs::TraceSpans& spans);
 
-  /// Post-use cache bookkeeping: reads the byte figure, and only when it
-  /// crosses the cap upgrades to the exclusive cache lock, re-checks
-  /// (another query may have evicted first), and applies the generational
-  /// eviction. Refreshes `cache_bytes_` either way so STATS tracks growth
-  /// as it happens, not only at the next eviction.
-  void FinishCacheUse() REQUIRES_SHARED(data_mutex_) EXCLUDES(cache_mutex_);
+  /// Post-use cache bookkeeping: reads the byte figure (proof cache plus
+  /// answer memo), and only when it crosses the cap upgrades to the
+  /// exclusive cache lock, re-checks (another query may have evicted
+  /// first), and applies the generational eviction, which clears the memo
+  /// too. Refreshes the `cache_bytes` gauge either way so STATS tracks
+  /// growth as it happens, not only at the next eviction.
+  void FinishCacheUse() REQUIRES_SHARED(data_mutex_)
+      EXCLUDES(cache_mutex_, memo_mutex_);
 
   const std::string name_;
   /// Original LOAD_PROGRAM text (immutable after construction; ANALYZE
@@ -189,18 +239,30 @@ class Session {
   std::unique_ptr<Reasoner> reasoner_ GUARDED_BY(data_mutex_);
 
   /// Guards program + database (reasoner_). ACQUIRED_BEFORE is the whole
-  /// lock-order story: every nested acquisition in this class is data
-  /// then cache, so an inversion is a compile error under
+  /// lock-order story: every nested acquisition in this class is data,
+  /// then cache, then memo, so an inversion is a compile error under
   /// -Wthread-safety-beta (it used to be a prose rule in Query).
-  base::SharedMutex data_mutex_ ACQUIRED_BEFORE(cache_mutex_);
+  base::SharedMutex data_mutex_ ACQUIRED_BEFORE(cache_mutex_, memo_mutex_);
 
   /// Guards the cache_ *pointer*: queries shared (pinning it against
   /// wholesale replacement), generational eviction and ADD_FACTS delta
   /// migration exclusive. Entry-level safety is the ProofSearchCache's
   /// own internal lock, so same-session proof-search queries run
   /// concurrently.
-  base::SharedMutex cache_mutex_;
+  base::SharedMutex cache_mutex_ ACQUIRED_BEFORE(memo_mutex_);
   std::unique_ptr<ProofSearchCache> cache_ GUARDED_BY(cache_mutex_);
+
+  /// Guards the answer memo, innermost of the three. Held only to look up,
+  /// install or clear entries — never across a materialization or a
+  /// render (hits copy out a shared_ptr) — so it is only ever held
+  /// briefly.
+  base::Mutex memo_mutex_;
+  /// One entry per query of reasoner_->program().queries(), or empty when
+  /// unfilled. Every entry answers the current database state: fills
+  /// publish under the shared data lock, and ADD_FACTS clears under the
+  /// exclusive one.
+  std::vector<std::shared_ptr<const AnswerRows>> memo_ GUARDED_BY(memo_mutex_);
+  size_t memo_bytes_ GUARDED_BY(memo_mutex_) = 0;
 
   /// All per-session counters live in the metrics registry; STATS and
   /// METRICS read the same handles, one source of truth. (The former

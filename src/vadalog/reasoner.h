@@ -17,6 +17,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -126,14 +127,31 @@ class Reasoner {
       const ConjunctiveQuery& query,
       const ReasonerOptions& options = {}) const;
 
-  /// Like Answer for the proof-search engines, but keeps the completeness
-  /// signal: `complete` is false when a budget-exhausted search rejected a
-  /// candidate without refuting it. Chase-based enumeration (kAuto/kChase,
-  /// or stratified-negation programs) is always complete. `error` is set
-  /// (and the answers empty) when no engine can serve the program at all,
-  /// e.g. stratified negation outside Datalog.
+  /// Like Answer, but keeps the completeness signal: `complete` is false
+  /// when a budget-exhausted search rejected a candidate without refuting
+  /// it, or when a chase budget (options.chase max_steps/max_atoms/
+  /// max_depth) cut the materialization short. Unbudgeted chase-based
+  /// enumeration (kAuto/kChase, or stratified-negation programs) is always
+  /// complete. `error` is set (and the answers empty) when no engine can
+  /// serve the program at all, e.g. stratified negation outside Datalog.
   CertainAnswerSet AnswerChecked(const ConjunctiveQuery& query,
                                  const ReasonerOptions& options = {}) const;
+
+  /// True when enumerations under `engine` are answered by materializing
+  /// a model — chase(D, Σ) for kAuto/kChase, the stratified Datalog
+  /// fixpoint for negation programs (whatever the engine) — rather than
+  /// by proof search. Such answers depend on the database state only, so
+  /// one materialization can serve a whole pool of queries.
+  bool AnswersByMaterialization(EngineChoice engine) const;
+
+  /// Certain answers to every query of `queries` from ONE materialization
+  /// — chase(D, Σ) under `options`, or the stratified Datalog fixpoint for
+  /// a negation program — which is dropped on return. One result per
+  /// query, in order. AnswerChecked is this with a pool of one whenever
+  /// AnswersByMaterialization holds for its engine.
+  std::vector<CertainAnswerSet> AnswerAllByMaterialization(
+      std::span<const ConjunctiveQuery> queries,
+      const ChaseOptions& options = {}) const;
 
   /// Certain answers to the program's `index`-th parsed query.
   std::vector<std::vector<Term>> Answer(

@@ -5,11 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <regex>
+#include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "server/json.h"
 #include "server/protocol.h"
 #include "server/session.h"
+#include "vadalog/reasoner.h"
 
 namespace vadalog {
 namespace {
@@ -478,6 +484,255 @@ protocol::Response Hello(const std::string& line, protocol::WireState* state,
       protocol::ParseRequest(line, &error, &id);
   EXPECT_TRUE(request.has_value()) << line << ": " << error.message;
   return protocol::NegotiateHello(*request, allowed, state);
+}
+
+// --- Answer memo ---
+
+constexpr const char* kPoolProgram =
+    "t(X, Y) :- e(X, Y). t(X, Z) :- e(X, Y), t(Y, Z). "
+    "e(a, b). e(b, c). ?(X) :- t(a, X). ?(X, Y) :- t(X, Y).";
+
+/// The "answers" array a fresh Reasoner gives for query `index` of
+/// `program`, rendered as the v1 QUERY response renders it.
+std::string ColdAnswers(const std::string& program, size_t index) {
+  std::unique_ptr<Reasoner> reasoner = Reasoner::FromText(program);
+  EXPECT_NE(reasoner, nullptr);
+  JsonValue rows = JsonValue::Array();
+  for (const std::vector<Term>& tuple : reasoner->Answer(index)) {
+    JsonValue row = JsonValue::Array();
+    for (Term t : tuple) {
+      row.Append(
+          JsonValue::String(reasoner->program().symbols().TermToString(t)));
+    }
+    rows.Append(std::move(row));
+  }
+  return rows.Dump();
+}
+
+/// A response's bytes with its one timing-dependent field zeroed.
+std::string StableBytes(const JsonValue& response) {
+  static const std::regex kMillis("\"millis\":[0-9]+");
+  return std::regex_replace(response.Dump(), kMillis, "\"millis\":0");
+}
+
+struct MemoCounts {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t evictions = 0;
+  uint64_t cache_bytes = 0;
+};
+
+MemoCounts MemoStats(SessionRegistry* registry, const std::string& session) {
+  JsonValue stats = registry->HandleLine(
+      R"({"cmd":"STATS","session":")" + session + R"("})");
+  const JsonValue* object = stats.Find("session");
+  EXPECT_NE(object, nullptr) << stats.Dump();
+  if (object == nullptr) return {};
+  return {object->GetUint("answer_memo_hits"),
+          object->GetUint("answer_memo_misses"),
+          object->GetUint("cache_evictions"), object->GetUint("cache_bytes")};
+}
+
+std::string QueryLine(const std::string& session, int index,
+                      const std::string& engine = "") {
+  std::string line = R"({"cmd":"QUERY","session":")" + session +
+                     R"(","query_index":)" + std::to_string(index);
+  if (!engine.empty()) line += R"(,"engine":")" + engine + R"(")";
+  return line + "}";
+}
+
+TEST(ProtocolTest, MemoHitReturnsTheColdReasonersBytes) {
+  SessionRegistry registry{SessionOptions{}};
+  ASSERT_TRUE(registry.HandleLine(LoadLine("s", kPoolProgram)).GetBool("ok"));
+  uint64_t cold_bytes = MemoStats(&registry, "s").cache_bytes;
+  for (int q = 0; q < 2; ++q) {
+    JsonValue first = registry.HandleLine(QueryLine("s", q));
+    JsonValue again = registry.HandleLine(QueryLine("s", q));
+    ASSERT_TRUE(first.GetBool("ok")) << first.Dump();
+    EXPECT_EQ(first.Find("answers")->Dump(),
+              ColdAnswers(kPoolProgram, static_cast<size_t>(q)));
+    EXPECT_EQ(StableBytes(again), StableBytes(first));
+    EXPECT_EQ(first.GetString("cache"), "unused");
+  }
+  // One materialization filled both pooled queries.
+  MemoCounts counts = MemoStats(&registry, "s");
+  EXPECT_EQ(counts.misses, 1u);
+  EXPECT_EQ(counts.hits, 3u);
+  // The memo's bytes count as the session's cache bytes.
+  EXPECT_GT(counts.cache_bytes, cold_bytes);
+  // engine=chase enumerates by materialization too: same memo.
+  JsonValue chase = registry.HandleLine(QueryLine("s", 1, "chase"));
+  EXPECT_EQ(chase.Find("answers")->Dump(), ColdAnswers(kPoolProgram, 1));
+  EXPECT_EQ(MemoStats(&registry, "s").hits, 4u);
+}
+
+TEST(ProtocolTest, AddFactsThatInsertClearTheMemoDuplicatesKeepIt) {
+  SessionRegistry registry{SessionOptions{}};
+  ASSERT_TRUE(registry.HandleLine(LoadLine("s", kPoolProgram)).GetBool("ok"));
+  ASSERT_TRUE(registry.HandleLine(QueryLine("s", 0)).GetBool("ok"));
+  uint64_t filled_bytes = MemoStats(&registry, "s").cache_bytes;
+
+  JsonValue added = registry.HandleLine(
+      R"({"cmd":"ADD_FACTS","session":"s","facts":"e(c, d)."})");
+  ASSERT_EQ(added.GetUint("added"), 1u) << added.Dump();
+  EXPECT_LT(MemoStats(&registry, "s").cache_bytes, filled_bytes);
+  JsonValue grown = registry.HandleLine(QueryLine("s", 0));
+  EXPECT_EQ(grown.Find("answers")->Dump(),
+            ColdAnswers(std::string(kPoolProgram) + " e(c, d).", 0));
+  EXPECT_EQ(grown.Find("answers")->Items().size(), 3u);  // b, c, d
+  EXPECT_EQ(MemoStats(&registry, "s").misses, 2u);
+
+  // A duplicate-only batch and a failed one change nothing: still hits.
+  JsonValue duplicate = registry.HandleLine(
+      R"({"cmd":"ADD_FACTS","session":"s","facts":"e(a, b). e(c, d)."})");
+  ASSERT_EQ(duplicate.GetUint("added"), 0u) << duplicate.Dump();
+  JsonValue failed = registry.HandleLine(
+      R"({"cmd":"ADD_FACTS","session":"s","facts":"e(d, e). e(oops"})");
+  ASSERT_EQ(failed.Find("error")->GetString("code"), "EPARSE");
+  JsonValue same = registry.HandleLine(QueryLine("s", 0));
+  EXPECT_EQ(StableBytes(same), StableBytes(grown));
+  MemoCounts counts = MemoStats(&registry, "s");
+  EXPECT_EQ(counts.misses, 2u);
+  EXPECT_EQ(counts.hits, 1u);
+}
+
+TEST(ProtocolTest, ReplaceStartsWithAnEmptyMemo) {
+  SessionRegistry registry{SessionOptions{}};
+  ASSERT_TRUE(registry.HandleLine(LoadLine("s", kPoolProgram)).GetBool("ok"));
+  ASSERT_TRUE(registry.HandleLine(QueryLine("s", 0)).GetBool("ok"));
+  ASSERT_TRUE(registry.HandleLine(QueryLine("s", 0)).GetBool("ok"));
+  // The replacement has a different database: a kept memo would answer
+  // the old one.
+  JsonValue replaced = registry.HandleLine(
+      R"({"cmd":"LOAD_PROGRAM","session":"s","replace":true,"program":)" +
+      JsonValue::String(std::string(kPoolProgram) + " e(c, z).").Dump() +
+      "}");
+  ASSERT_TRUE(replaced.GetBool("ok")) << replaced.Dump();
+  JsonValue after = registry.HandleLine(QueryLine("s", 0));
+  EXPECT_EQ(after.Find("answers")->Dump(),
+            ColdAnswers(std::string(kPoolProgram) + " e(c, z).", 0));
+  // Counters are cumulative per session name; the miss is the new one.
+  MemoCounts counts = MemoStats(&registry, "s");
+  EXPECT_EQ(counts.misses, 2u);
+  EXPECT_EQ(counts.hits, 1u);
+}
+
+TEST(ProtocolTest, ByteCapCrossingClearsTheMemo) {
+  SessionOptions options;
+  options.cache_byte_limit = 1;  // every fill crosses the cap
+  SessionRegistry capped{options};
+  ASSERT_TRUE(capped.HandleLine(LoadLine("s", kPoolProgram)).GetBool("ok"));
+  for (int i = 0; i < 3; ++i) {
+    JsonValue response = capped.HandleLine(QueryLine("s", 0));
+    EXPECT_EQ(response.Find("answers")->Dump(), ColdAnswers(kPoolProgram, 0));
+  }
+  MemoCounts counts = MemoStats(&capped, "s");
+  EXPECT_EQ(counts.misses, 3u);
+  EXPECT_EQ(counts.hits, 0u);
+  EXPECT_EQ(counts.evictions, 3u);
+
+  SessionRegistry uncapped{SessionOptions{}};
+  ASSERT_TRUE(uncapped.HandleLine(LoadLine("s", kPoolProgram)).GetBool("ok"));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(uncapped.HandleLine(QueryLine("s", 0)).GetBool("ok"));
+  }
+  counts = MemoStats(&uncapped, "s");
+  EXPECT_EQ(counts.misses, 1u);
+  EXPECT_EQ(counts.hits, 2u);
+  EXPECT_EQ(counts.evictions, 0u);
+}
+
+TEST(ProtocolTest, NegationProgramIsMemoised) {
+  const std::string program =
+      "q(a). r(a). q(b). p(X) :- q(X), not r(X). ?(X) :- p(X). "
+      "?(X) :- q(X).";
+  SessionRegistry registry{SessionOptions{}};
+  ASSERT_TRUE(registry.HandleLine(LoadLine("d", program)).GetBool("ok"));
+  // The stratified Datalog evaluator serves every engine on a negation
+  // program, so all of these share one fill.
+  for (const char* engine : {"", "chase", "linear", "alternating"}) {
+    for (int q = 0; q < 2; ++q) {
+      JsonValue response = registry.HandleLine(QueryLine("d", q, engine));
+      ASSERT_TRUE(response.GetBool("ok")) << response.Dump();
+      EXPECT_EQ(response.Find("answers")->Dump(),
+                ColdAnswers(program, static_cast<size_t>(q)))
+          << engine;
+    }
+  }
+  MemoCounts counts = MemoStats(&registry, "d");
+  EXPECT_EQ(counts.misses, 1u);
+  EXPECT_EQ(counts.hits, 7u);
+}
+
+TEST(ProtocolTest, InlineQueriesAndProofSearchBypassTheMemo) {
+  SessionRegistry registry{SessionOptions{}};
+  ASSERT_TRUE(registry.HandleLine(LoadLine("s", kPoolProgram)).GetBool("ok"));
+  for (int i = 0; i < 2; ++i) {
+    JsonValue inline_query = registry.HandleLine(
+        R"({"cmd":"QUERY","session":"s","query":"?(X) :- t(a, X)."})");
+    EXPECT_EQ(inline_query.Find("answers")->Dump(),
+              ColdAnswers(kPoolProgram, 0));
+    JsonValue linear = registry.HandleLine(QueryLine("s", 0, "linear"));
+    EXPECT_EQ(linear.Find("answers")->Dump(), ColdAnswers(kPoolProgram, 0));
+    JsonValue alternating =
+        registry.HandleLine(QueryLine("s", 0, "alternating"));
+    EXPECT_EQ(alternating.Find("answers")->Dump(),
+              ColdAnswers(kPoolProgram, 0));
+  }
+  MemoCounts counts = MemoStats(&registry, "s");
+  EXPECT_EQ(counts.misses, 0u);
+  EXPECT_EQ(counts.hits, 0u);
+}
+
+TEST(ProtocolTest, ConcurrentFillsNeverPublishAStaleState) {
+  // A chain that one ADD_FACTS at a time extends by one edge: every
+  // state's answer set is {v1..vk}. Readers race fills against the
+  // writer's clears; a fill of an old state published after a clear
+  // would make some reader see k go down.
+  SessionRegistry registry{SessionOptions{}};
+  ASSERT_TRUE(registry
+                  .HandleLine(LoadLine("s",
+                                       "t(X, Y) :- e(X, Y). "
+                                       "t(X, Z) :- e(X, Y), t(Y, Z). "
+                                       "e(v0, v1). ?(X) :- t(v0, X)."))
+                  .GetBool("ok"));
+  constexpr int kEdges = 12;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      size_t last = 0;
+      for (int i = 0; i < 300; ++i) {
+        JsonValue response = registry.HandleLine(QueryLine("s", 0));
+        const JsonValue* answers = response.Find("answers");
+        if (answers == nullptr) {
+          ++failures;
+          return;
+        }
+        std::set<std::string> seen;
+        for (const JsonValue& row : answers->Items()) {
+          seen.insert(row.Items()[0].AsString());
+        }
+        std::set<std::string> prefix;
+        for (size_t k = 1; k <= seen.size(); ++k) {
+          prefix.insert("v" + std::to_string(k));
+        }
+        if (seen != prefix || seen.size() < last) ++failures;
+        last = seen.size();
+      }
+    });
+  }
+  for (int k = 1; k < kEdges; ++k) {
+    JsonValue added = registry.HandleLine(
+        R"({"cmd":"ADD_FACTS","session":"s","facts":"e(v)" +
+        std::to_string(k) + ", v" + std::to_string(k + 1) + R"()."})");
+    EXPECT_EQ(added.GetUint("added"), 1u) << added.Dump();
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(failures.load(), 0);
+  JsonValue last = registry.HandleLine(QueryLine("s", 0));
+  EXPECT_EQ(last.Find("answers")->Items().size(),
+            static_cast<size_t>(kEdges));
 }
 
 TEST(ProtocolTest, BothWireVersionsAreAccepted) {

@@ -124,6 +124,72 @@ TEST(ReasonerTest, MultiHeadProgramNormalized) {
   EXPECT_EQ(reasoner->Answer(0).size(), 1u);
 }
 
+TEST(ReasonerTest, ChaseBudgetsReportIncompleteAnswers) {
+  std::unique_ptr<Reasoner> reasoner = Reasoner::FromText(R"(
+    t(X, Y) :- e(X, Y).
+    t(X, Z) :- e(X, Y), t(Y, Z).
+    e(a, b). e(b, c). e(c, d).
+    ?(X) :- t(a, X).
+  )");
+  ASSERT_NE(reasoner, nullptr);
+  const ConjunctiveQuery& query = reasoner->program().queries()[0];
+  for (EngineChoice engine : {EngineChoice::kAuto, EngineChoice::kChase}) {
+    ReasonerOptions unbudgeted;
+    unbudgeted.engine = engine;
+    CertainAnswerSet full = reasoner->AnswerChecked(query, unbudgeted);
+    EXPECT_TRUE(full.complete);
+    ASSERT_EQ(full.answers.size(), 3u);
+    for (int budget = 0; budget < 3; ++budget) {
+      ReasonerOptions options = unbudgeted;
+      if (budget == 0) options.chase.max_steps = 1;
+      if (budget == 1) options.chase.max_atoms = 4;
+      if (budget == 2) options.chase.max_depth = 1;
+      CertainAnswerSet cut = reasoner->AnswerChecked(query, options);
+      EXPECT_FALSE(cut.complete) << "budget " << budget;
+      EXPECT_LT(cut.answers.size(), full.answers.size()) << "budget " << budget;
+    }
+  }
+}
+
+constexpr const char* kTwoQueries = R"(
+  t(X, Y) :- e(X, Y).
+  t(X, Z) :- e(X, Y), t(Y, Z).
+  e(a, b). e(b, c).
+  ?(X) :- t(a, X).
+  ?(X, Y) :- t(X, Y).
+)";
+// Stratified negation: the Datalog fixpoint serves every engine.
+constexpr const char* kTwoNegationQueries = R"(
+  q(a). r(a). q(b).
+  p(X) :- q(X), not r(X).
+  ?(X) :- p(X).
+  ?(X) :- q(X).
+)";
+
+TEST(ReasonerTest, PooledMaterializationMatchesAnswerChecked) {
+  for (const char* text : {kTwoQueries, kTwoNegationQueries}) {
+    std::unique_ptr<Reasoner> reasoner = Reasoner::FromText(text);
+    ASSERT_NE(reasoner, nullptr);
+    std::vector<CertainAnswerSet> pool =
+        reasoner->AnswerAllByMaterialization(reasoner->program().queries());
+    ASSERT_EQ(pool.size(), 2u);
+    for (int engine = 0; engine < 4; ++engine) {  // every EngineChoice
+      ReasonerOptions options;
+      options.engine = static_cast<EngineChoice>(engine);
+      for (size_t i = 0; i < pool.size(); ++i) {
+        CertainAnswerSet one =
+            reasoner->AnswerChecked(reasoner->program().queries()[i], options);
+        EXPECT_EQ(pool[i].answers, one.answers) << text << " query " << i;
+        EXPECT_TRUE(pool[i].complete);
+        EXPECT_TRUE(pool[i].error.empty());
+      }
+    }
+    EXPECT_TRUE(reasoner->AnswersByMaterialization(EngineChoice::kAuto));
+    EXPECT_EQ(reasoner->AnswersByMaterialization(EngineChoice::kLinearProof),
+              reasoner->classification().uses_negation);
+  }
+}
+
 TEST(ReasonerTest, OutOfRangeQueryIndex) {
   std::unique_ptr<Reasoner> reasoner = Reasoner::FromText("e(a, b).");
   ASSERT_NE(reasoner, nullptr);

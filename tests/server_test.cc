@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,6 +67,15 @@ class TestClient {
     if (fd_ >= 0) ::close(fd_);
   }
   bool connected() const { return connected_; }
+
+  /// Makes every blocking receive give up (and the read fail) after
+  /// `millis` without data.
+  void SetReceiveTimeout(int millis) {
+    timeval timeout{};
+    timeout.tv_sec = millis / 1000;
+    timeout.tv_usec = (millis % 1000) * 1000;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  }
 
   bool SendLine(const std::string& line) {
     std::string out = line + "\n";
@@ -718,6 +728,75 @@ TEST(ServerTest, UnboundedResponseBacklogDropsTheConnection) {
 
 // The portable poll(2) backend must serve the same contract as epoll;
 // the whole protocol flow runs against it.
+/// A response line with its one timing-dependent field zeroed.
+std::string StableBytes(const std::string& line) {
+  static const std::regex kMillis("\"millis\":[0-9]+");
+  return std::regex_replace(line, kMillis, "\"millis\":0");
+}
+
+TEST(ServerTest, MemoHitsMatchAColdReasonerByteForByte) {
+  std::unique_ptr<Server> server = StartServer();
+  TestClient client(server->tcp_port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.RoundTrip(LoadLine("s", kProgram))->GetBool("ok"));
+  std::vector<std::vector<std::vector<std::string>>> expected =
+      DirectAnswers(kProgram, "auto");
+  for (size_t q = 0; q < expected.size(); ++q) {
+    const std::string query = R"({"cmd":"QUERY","session":"s","query_index":)" +
+                              std::to_string(q) + "}";
+    // The first query fills the memo for the whole pool; every later
+    // reply is a hit and must carry the same bytes.
+    ASSERT_TRUE(client.SendLine(query));
+    std::optional<std::string> first = client.ReadLine();
+    ASSERT_TRUE(first.has_value());
+    std::optional<JsonValue> parsed = JsonValue::Parse(*first, nullptr);
+    ASSERT_TRUE(parsed.has_value() && parsed->GetBool("ok")) << *first;
+    EXPECT_EQ(RowsOf(*parsed), expected[q]);
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      ASSERT_TRUE(client.SendLine(query));
+      std::optional<std::string> hit = client.ReadLine();
+      ASSERT_TRUE(hit.has_value());
+      EXPECT_EQ(StableBytes(*hit), StableBytes(*first));
+    }
+  }
+  std::optional<JsonValue> stats =
+      client.RoundTrip(R"({"cmd":"STATS","session":"s"})");
+  ASSERT_TRUE(stats.has_value() && stats->GetBool("ok"));
+  EXPECT_EQ(stats->Find("session")->GetUint("answer_memo_misses"), 1u);
+  EXPECT_EQ(stats->Find("session")->GetUint("answer_memo_hits"),
+            expected.size() * 4 - 1);
+  server->Stop();
+}
+
+// The event loop once drained its completion queue before reading the
+// wake-up pipe dry: a worker finishing in between had its wake-up byte
+// swallowed, and its reply sat until some unrelated socket event. A
+// pipelined burst on one connection, with no other traffic, is the
+// shape that strands a reply forever — each completion dispatches the
+// next request, whose (tiny) answer races the loop to the pipe.
+TEST(ServerTest, PipelinedRepliesNeverWaitForOtherTraffic) {
+  std::unique_ptr<Server> server = StartServer();
+  TestClient client(server->tcp_port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.RoundTrip(LoadLine("s", kProgram))->GetBool("ok"));
+  client.SetReceiveTimeout(1000);
+  constexpr int kRequests = 500;
+  std::string burst;
+  for (int i = 0; i < kRequests; ++i) {
+    if (i > 0) burst += "\n";
+    burst += R"({"cmd":"QUERY","session":"s","query_index":)" +
+             std::to_string(i % 2) + "}";
+  }
+  ASSERT_TRUE(client.SendLine(burst));
+  for (int i = 0; i < kRequests; ++i) {
+    std::optional<std::string> reply = client.ReadLine();
+    ASSERT_TRUE(reply.has_value())
+        << "reply " << i << " took longer than 1 s (stranded completion)";
+    ASSERT_NE(reply->find("\"ok\":true"), std::string::npos) << *reply;
+  }
+  server->Stop();
+}
+
 TEST(ServerTest, PollBackendServesIdentically) {
   ServerConfig config;
   config.poller = "poll";
