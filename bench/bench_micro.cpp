@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the engine primitives: term
-// interning, homomorphism matching, state canonicalization, chunk
-// resolution, and single chase rounds. These calibrate the constants
-// behind the experiment harnesses.
+// interning, homomorphism matching, state canonicalization, eager
+// simplification, chunk resolution, and single chase rounds. These
+// calibrate the constants behind the experiment harnesses.
 
 #include <benchmark/benchmark.h>
 
@@ -58,6 +58,54 @@ void BM_Canonicalize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Canonicalize)->Arg(4)->Arg(16);
+
+void BM_CanonicalizeSymmetric(benchmark::State& state) {
+  // A star e(X0, Xi) whose `range` leaves each carry f(Xi, Yi): two tie
+  // groups of `range` interchangeable atoms, resolved by the canonical
+  // search over (range!)^2 orders.
+  std::vector<Atom> atoms;
+  uint64_t leaves = static_cast<uint64_t>(state.range(0));
+  for (uint64_t i = 1; i <= leaves; ++i) {
+    atoms.push_back(Atom(0, {Term::Variable(0), Term::Variable(i)}));
+    atoms.push_back(
+        Atom(1, {Term::Variable(i), Term::Variable(leaves + i)}));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Canonicalize(atoms));
+  }
+}
+BENCHMARK(BM_CanonicalizeSymmetric)->Arg(3)->Arg(4);
+
+void BM_EagerSimplify(benchmark::State& state) {
+  // A resolvent-like state over an OWL 2 QL database: three dirty
+  // components (a four-way join that never embeds, an embeddable pair,
+  // an atom over a derived predicate with no facts) and one clean
+  // component. Each iteration copies the state and its dirty flags.
+  Program program = MakeOwl2QlProgram();
+  Rng rng(3);
+  AddOntologyFacts(&program, 30, 6, 120, &rng);
+  Instance db = DatabaseFromFacts(program.facts());
+  SymbolTable& symbols = program.symbols();
+  PredicateId type = symbols.FindPredicate("type");
+  PredicateId subclass = symbols.FindPredicate("subclass");
+  PredicateId restriction = symbols.FindPredicate("restriction");
+  PredicateId inverse = symbols.FindPredicate("inverse");
+  PredicateId triple = symbols.FindPredicate("triple");
+  PredicateId subclass_star = symbols.FindPredicate("subclassStar");
+  auto v = [](uint64_t i) { return Term::Variable(i); };
+  const std::vector<Atom> resolvent = {
+      Atom(type, {v(0), v(1)}),         Atom(subclass, {v(1), v(2)}),
+      Atom(restriction, {v(2), v(3)}),  Atom(inverse, {v(3), v(0)}),
+      Atom(type, {v(4), v(5)}),         Atom(subclass, {v(5), v(6)}),
+      Atom(triple, {v(7), v(8), v(9)}), Atom(subclass_star, {v(10), v(11)})};
+  const std::vector<char> dirty_flags = {1, 1, 1, 1, 1, 1, 1, 0};
+  for (auto _ : state) {
+    std::vector<Atom> atoms = resolvent;
+    std::vector<char> dirty = dirty_flags;
+    benchmark::DoNotOptimize(EagerSimplifyIncremental(&atoms, db, &dirty));
+  }
+}
+BENCHMARK(BM_EagerSimplify);
 
 void BM_ChunkResolution(benchmark::State& state) {
   ParseResult parsed = ParseProgram(R"(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <span>
 #include <unordered_map>
 
 #include "base/hash.h"
@@ -90,6 +91,11 @@ struct FlatScratch {
   std::vector<uint64_t> run_codes;
   std::vector<uint64_t> keys;  // concatenated per-atom invariant keys
   std::vector<std::pair<uint32_t, uint32_t>> key_span;  // per atom [b, e)
+  // Branch-and-bound canonical search (LeastGroupOrder).
+  std::vector<std::pair<uint32_t, uint32_t>> tie;  // per slot: its group
+  std::vector<char> placed;                        // per slot of `order`
+  std::vector<size_t> current;                     // order being built
+  std::vector<uint64_t> prefix;                    // encoding of `current`
 
   void Prepare(size_t num_vars) {
     if (color.size() < num_vars) {
@@ -127,6 +133,105 @@ void FlatEncode(const std::vector<Atom>& atoms,
   for (uint32_t v : s->touched) s->var_rank[v] = kUnranked;
   s->touched.clear();
 }
+
+/// Branch-and-bound search for the least encoding over the orders that
+/// permute each tie group within its slots — the same set of orders, and
+/// the same least encoding, as brute-forcing every group permutation.
+/// Atoms are placed one slot at a time and encoded incrementally; a
+/// prefix is abandoned only when it is strictly greater than the best
+/// complete encoding (McKay & Piperno's pruning of the search tree).
+class LeastGroupOrder {
+ public:
+  LeastGroupOrder(const std::vector<Atom>& atoms,
+                  const std::vector<size_t>& order, FlatScratch* s,
+                  std::vector<uint64_t>* best, std::vector<size_t>* best_order)
+      : atoms_(atoms),
+        order_(order),
+        s_(s),
+        best_(best),
+        best_order_(best_order) {}
+
+  void Run() {
+    size_t n = order_.size();
+    s_->placed.assign(n, 0);
+    s_->current.resize(n);
+    s_->prefix.clear();
+    next_rank_ = 0;
+    have_best_ = false;
+    Place(0, /*tight=*/false);
+  }
+
+ private:
+  /// Extends the prefix at `slot`. `tight` means the prefix so far equals
+  /// the best encoding's prefix (false while no best exists, or once the
+  /// prefix is already smaller). Returns true if the best changed.
+  bool Place(size_t slot, bool tight) {
+    if (slot == order_.size()) {
+      if (have_best_ && tight) return false;  // equal, not smaller
+      *best_ = s_->prefix;
+      *best_order_ = s_->current;
+      have_best_ = true;
+      return true;
+    }
+    bool improved = false;
+    auto [begin, end] = s_->tie[slot];
+    for (uint32_t k = begin; k < end; ++k) {
+      if (s_->placed[k] != 0) continue;
+      size_t mark = s_->prefix.size();
+      size_t touched_mark = s_->touched.size();
+      uint32_t rank_mark = next_rank_;
+      Append(atoms_[order_[k]]);
+      int cmp = 0;
+      for (size_t w = mark; tight && cmp == 0 && w < s_->prefix.size(); ++w) {
+        if (s_->prefix[w] != (*best_)[w]) {
+          cmp = s_->prefix[w] < (*best_)[w] ? -1 : 1;
+        }
+      }
+      if (!tight || cmp <= 0) {
+        s_->placed[k] = 1;
+        s_->current[slot] = order_[k];
+        if (Place(slot + 1, tight && cmp == 0)) {
+          // The new best shares this prefix: compare against it again.
+          improved = true;
+          tight = true;
+        }
+        s_->placed[k] = 0;
+      }
+      s_->prefix.resize(mark);
+      while (s_->touched.size() > touched_mark) {
+        s_->var_rank[s_->touched.back()] = kUnranked;
+        s_->touched.pop_back();
+      }
+      next_rank_ = rank_mark;
+    }
+    return improved;
+  }
+
+  /// Appends one atom's words to the prefix (FlatEncode, one atom).
+  void Append(const Atom& a) {
+    s_->prefix.push_back((uint64_t{2} << 62) | a.predicate);
+    for (Term t : a.args) {
+      if (!t.is_variable()) {
+        s_->prefix.push_back(t.bits());
+        continue;
+      }
+      uint32_t v = static_cast<uint32_t>(t.index());
+      if (s_->var_rank[v] == kUnranked) {
+        s_->var_rank[v] = next_rank_++;
+        s_->touched.push_back(v);
+      }
+      s_->prefix.push_back((uint64_t{3} << 62) | s_->var_rank[v]);
+    }
+  }
+
+  const std::vector<Atom>& atoms_;
+  const std::vector<size_t>& order_;
+  FlatScratch* s_;
+  std::vector<uint64_t>* best_;
+  std::vector<size_t>* best_order_;
+  uint32_t next_rank_ = 0;
+  bool have_best_ = false;
+};
 
 /// Sorts the (var, code) pairs in `s->occ` and folds each variable's code
 /// run into its color (combining with the previous color when refining).
@@ -252,29 +357,16 @@ CanonicalState FlatCanonicalize(std::vector<Atom> atoms, size_t num_vars) {
   if (groups.empty() || combinations > 720) {
     FlatEncode(atoms, order, s, &state.encoding);
   } else {
-    std::vector<uint64_t> best;
-    std::vector<uint64_t> candidate;
-    std::vector<size_t> current = order;
-    std::function<void(size_t)> recurse = [&](size_t group_index) {
-      if (group_index == groups.size()) {
-        FlatEncode(atoms, current, s, &candidate);
-        if (best.empty() || candidate < best) {
-          std::swap(best, candidate);
-          order = current;
-        }
-        return;
+    s->tie.resize(n);
+    for (uint32_t i = 0; i < n; ++i) s->tie[i] = {i, i + 1};
+    for (auto [begin, end] : groups) {
+      for (size_t i = begin; i < end; ++i) {
+        s->tie[i] = {static_cast<uint32_t>(begin), static_cast<uint32_t>(end)};
       }
-      auto [begin, end] = groups[group_index];
-      std::vector<size_t> members(current.begin() + begin,
-                                  current.begin() + end);
-      std::sort(members.begin(), members.end());
-      do {
-        std::copy(members.begin(), members.end(), current.begin() + begin);
-        recurse(group_index + 1);
-      } while (std::next_permutation(members.begin(), members.end()));
-    };
-    recurse(0);
-    state.encoding = std::move(best);
+    }
+    std::vector<size_t> best_order;
+    LeastGroupOrder(atoms, order, s, &state.encoding, &best_order).Run();
+    order = std::move(best_order);
   }
 
   // Materialize atoms in canonical order with canonical names.
@@ -463,38 +555,73 @@ CanonicalState CanonicalizeEx(std::vector<Atom> atoms, bool rename_nulls,
   return state;
 }
 
-std::vector<int> ComponentIds(const std::vector<Atom>& atoms) {
+namespace {
+
+/// Grow-only per-thread scratch for component labelling and in-place
+/// simplification: both run once per successor, so neither allocates once
+/// warm.
+struct ComponentScratch {
+  std::vector<int> first_seen;    // per variable index; -1 = unseen
+  std::vector<uint32_t> touched;  // variable indices to reset
+  std::vector<int> parent;        // union-find over atoms
+  std::vector<int> id_of_root;    // per root: dense component id
+  std::vector<int> ids;           // EagerSimplifyIncremental's labels
+  std::vector<uint32_t> start;    // per component: first grouped slot
+  std::vector<uint32_t> dest;     // per atom: grouped slot
+};
+
+ComponentScratch* ThreadComponentScratch() {
+  static thread_local ComponentScratch scratch;
+  return &scratch;
+}
+
+/// Writes dense per-atom component ids (first-occurrence order of the
+/// roots) to `ids` and returns the number of components.
+int LabelComponents(const std::vector<Atom>& atoms, ComponentScratch* s,
+                    std::vector<int>* ids) {
   size_t n = atoms.size();
-  std::vector<int> parent(n);
-  for (size_t i = 0; i < n; ++i) parent[i] = static_cast<int>(i);
-  auto find = [&parent](int x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
+  s->parent.resize(n);
+  for (size_t i = 0; i < n; ++i) s->parent[i] = static_cast<int>(i);
+  auto find = [s](int x) {
+    while (s->parent[x] != x) {
+      s->parent[x] = s->parent[s->parent[x]];
+      x = s->parent[x];
     }
     return x;
   };
 
-  std::unordered_map<Term, size_t> first_seen;
   for (size_t i = 0; i < n; ++i) {
     for (Term t : atoms[i].args) {
       if (!t.is_variable()) continue;
-      auto [it, inserted] = first_seen.try_emplace(t, i);
-      if (!inserted) {
-        parent[find(static_cast<int>(i))] = find(static_cast<int>(it->second));
+      uint64_t v = t.index();
+      if (v >= s->first_seen.size()) s->first_seen.resize(v + 1, -1);
+      if (s->first_seen[v] < 0) {
+        s->first_seen[v] = static_cast<int>(i);
+        s->touched.push_back(static_cast<uint32_t>(v));
+      } else {
+        s->parent[find(static_cast<int>(i))] = find(s->first_seen[v]);
       }
     }
   }
+  for (uint32_t v : s->touched) s->first_seen[v] = -1;
+  s->touched.clear();
 
-  // Dense component ids in first-occurrence order of the roots.
-  std::vector<int> id_of_root(n, -1);
-  std::vector<int> ids(n);
+  s->id_of_root.assign(n, -1);
+  ids->resize(n);
   int next = 0;
   for (size_t i = 0; i < n; ++i) {
     int root = find(static_cast<int>(i));
-    if (id_of_root[root] < 0) id_of_root[root] = next++;
-    ids[i] = id_of_root[root];
+    if (s->id_of_root[root] < 0) s->id_of_root[root] = next++;
+    (*ids)[i] = s->id_of_root[root];
   }
+  return next;
+}
+
+}  // namespace
+
+std::vector<int> ComponentIds(const std::vector<Atom>& atoms) {
+  std::vector<int> ids;
+  LabelComponents(atoms, ThreadComponentScratch(), &ids);
   return ids;
 }
 
@@ -523,8 +650,8 @@ size_t EagerSimplifyIncremental(std::vector<Atom>* atoms,
   // duplicates (frequent in resolvents) are dropped first. This shrinks
   // states against the width bound and merges otherwise-distinct states.
   // A surviving copy inherits the dirtiness of every duplicate it absorbs.
+  size_t n = atoms->size();
   {
-    size_t n = atoms->size();
     size_t kept = 0;
     for (size_t i = 0; i < n; ++i) {
       bool duplicate = false;
@@ -544,43 +671,53 @@ size_t EagerSimplifyIncremental(std::vector<Atom>* atoms,
     }
     atoms->resize(kept);
     dirty->resize(kept);
+    n = kept;
   }
 
-  std::vector<int> ids = ComponentIds(*atoms);
-  int num_components = 0;
-  for (int id : ids) num_components = std::max(num_components, id + 1);
-
-  // 0 = keep unchecked (clean, parent certificate), 1 = check, 2 = drop.
-  std::vector<char> component_state(num_components, 0);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if ((*dirty)[i] != 0) component_state[ids[i]] = 1;
-  }
-  std::vector<Atom> scratch;
-  for (int c = 0; c < num_components; ++c) {
-    if (component_state[c] != 1) continue;
-    scratch.clear();
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (ids[i] == c) scratch.push_back((*atoms)[i]);
-    }
-    if (HasHomomorphism(scratch, database)) component_state[c] = 2;
-  }
-
-  // Emit survivors grouped by component, in first-occurrence order —
-  // byte-identical to the SplitComponents-based full simplification.
-  std::vector<Atom> kept;
-  kept.reserve(atoms->size());
-  size_t removed = 0;
-  for (int c = 0; c < num_components; ++c) {
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (ids[i] != c) continue;
-      if (component_state[c] == 2) {
-        ++removed;
-      } else {
-        kept.push_back(std::move((*atoms)[i]));
-      }
+  // Group atoms by component in place — a stable counting sort on the
+  // component id, applied by following permutation cycles with swaps —
+  // so each component is one contiguous range the matcher reads as is.
+  ComponentScratch* s = ThreadComponentScratch();
+  int num_components = LabelComponents(*atoms, s, &s->ids);
+  s->start.assign(num_components + 1, 0);
+  for (size_t i = 0; i < n; ++i) ++s->start[s->ids[i] + 1];
+  for (int c = 0; c < num_components; ++c) s->start[c + 1] += s->start[c];
+  s->dest.resize(n);
+  for (size_t i = 0; i < n; ++i) s->dest[i] = s->start[s->ids[i]]++;
+  // Filling advanced each component's start to the next one's: shift back.
+  for (int c = num_components; c > 0; --c) s->start[c] = s->start[c - 1];
+  s->start[0] = 0;
+  for (size_t i = 0; i < n; ++i) {
+    while (s->dest[i] != i) {
+      uint32_t j = s->dest[i];
+      std::swap((*atoms)[i], (*atoms)[j]);
+      std::swap((*dirty)[i], (*dirty)[j]);
+      std::swap(s->dest[i], s->dest[j]);
     }
   }
-  *atoms = std::move(kept);
+
+  // Check each dirty component (clean ones keep the parent certificate)
+  // and compact the survivors forward: grouped by component, in
+  // first-occurrence order — byte-identical to the SplitComponents-based
+  // full simplification.
+  const Atom* base = atoms->data();
+  size_t out = 0;
+  for (int c = 0; c < num_components; ++c) {
+    uint32_t begin = s->start[c];
+    uint32_t end = s->start[c + 1];
+    bool is_dirty = std::any_of(dirty->begin() + begin, dirty->begin() + end,
+                                [](char d) { return d != 0; });
+    if (is_dirty &&
+        HasHomomorphism(std::span<const Atom>(base + begin, end - begin),
+                        database)) {
+      continue;
+    }
+    for (uint32_t i = begin; i < end; ++i, ++out) {
+      if (out != i) (*atoms)[out] = std::move((*atoms)[i]);
+    }
+  }
+  size_t removed = n - out;
+  atoms->resize(out);
   return removed;
 }
 

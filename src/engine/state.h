@@ -7,8 +7,8 @@
 // renaming of variables are interchangeable, so the search canonicalizes
 // states before deduplicating them: atoms are ordered by a variable-
 // invariant key (refined once by variable "colors"), residual symmetric
-// groups are resolved by bounded brute force, and variables are renamed by
-// first occurrence.
+// groups are resolved by a bounded search for the least encoding, and
+// variables are renamed by first occurrence.
 
 #ifndef VADALOG_ENGINE_STATE_H_
 #define VADALOG_ENGINE_STATE_H_

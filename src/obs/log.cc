@@ -119,7 +119,9 @@ std::string FormatTimestampUtc() {
                 1000;
   std::tm utc{};
   gmtime_r(&seconds, &utc);
-  char buffer[32];
+  // Worst case: seven int fields at 11 characters each ("-2147483648"),
+  // seven literal characters and the terminator. Real dates need 25.
+  char buffer[7 * 11 + 7 + 1];
   std::snprintf(buffer, sizeof buffer,
                 "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ", utc.tm_year + 1900,
                 utc.tm_mon + 1, utc.tm_mday, utc.tm_hour, utc.tm_min,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 
 namespace vadalog {
 namespace {
@@ -126,16 +127,6 @@ bool ForEachHomomorphism(const std::vector<Atom>& atoms,
   return MatchFrom(atoms, order, 0, instance, &subst, callback);
 }
 
-bool HasHomomorphism(const std::vector<Atom>& atoms, const Instance& instance,
-                     const Substitution& seed) {
-  bool found = false;
-  ForEachHomomorphism(atoms, instance, seed, [&found](const Substitution&) {
-    found = true;
-    return false;  // stop at the first match
-  });
-  return found;
-}
-
 std::vector<std::vector<Term>> EvaluateQuery(const ConjunctiveQuery& query,
                                              const Instance& instance,
                                              bool certain_only) {
@@ -167,6 +158,147 @@ std::vector<std::vector<Term>> EvaluateQuerySorted(
       EvaluateQuery(query, instance, certain_only);
   std::sort(results.begin(), results.end());
   return results;
+}
+
+namespace {
+
+/// Grow-only scratch for HasHomomorphism: the proof searches' eager
+/// simplification runs it on every dirty component of every successor,
+/// so the matcher must not allocate. Bindings live in flat arrays indexed
+/// by variable index (variables are numbered per statement, so indices
+/// stay small and dense).
+struct HomScratch {
+  std::vector<Term> binding;              // per variable index
+  std::vector<char> bound;                // per variable index
+  std::vector<uint32_t> touched;          // bound indices to reset
+  std::vector<const Relation*> relation;  // per pattern atom
+  std::vector<char> placed;               // per pattern atom
+  std::vector<uint32_t> order;            // join order
+};
+
+void Unbind(HomScratch* s, size_t mark) {
+  while (s->touched.size() > mark) {
+    s->bound[s->touched.back()] = 0;
+    s->touched.pop_back();
+  }
+}
+
+/// JoinOrder on flat arrays: the atom with the most bound terms first
+/// (ties: smaller relation, then lower index). Marks every variable of
+/// the pattern bound; the caller resets them.
+void FlatJoinOrder(std::span<const Atom> atoms, HomScratch* s) {
+  s->order.clear();
+  s->placed.assign(atoms.size(), 0);
+  for (size_t step = 0; step < atoms.size(); ++step) {
+    size_t best = atoms.size();
+    size_t best_bound = 0;
+    size_t best_size = ~size_t{0};
+    for (size_t i = 0; i < atoms.size(); ++i) {
+      if (s->placed[i] != 0) continue;
+      size_t bound = 0;
+      for (Term t : atoms[i].args) {
+        if (t.is_rigid() || s->bound[t.index()] != 0) ++bound;
+      }
+      size_t size = s->relation[i]->size();
+      if (best == atoms.size() || bound > best_bound ||
+          (bound == best_bound && size < best_size)) {
+        best = i;
+        best_bound = bound;
+        best_size = size;
+      }
+    }
+    s->placed[best] = 1;
+    s->order.push_back(static_cast<uint32_t>(best));
+    for (Term t : atoms[best].args) {
+      if (t.is_variable() && s->bound[t.index()] == 0) {
+        s->bound[t.index()] = 1;
+        s->touched.push_back(static_cast<uint32_t>(t.index()));
+      }
+    }
+  }
+}
+
+bool MatchFlatFrom(std::span<const Atom> atoms, HomScratch* s, size_t depth) {
+  if (depth == s->order.size()) return true;
+  const Atom& atom = atoms[s->order[depth]];
+  const Relation* rel = s->relation[s->order[depth]];
+
+  // Pick the most selective bound position to drive the index lookup.
+  const std::vector<uint32_t>* best_rows = nullptr;
+  for (size_t i = 0; i < atom.args.size(); ++i) {
+    Term t = atom.args[i];
+    if (t.is_variable()) {
+      if (s->bound[t.index()] == 0) continue;
+      t = s->binding[t.index()];
+    }
+    const std::vector<uint32_t>& rows =
+        rel->RowsWith(static_cast<uint32_t>(i), t);
+    if (best_rows == nullptr || rows.size() < best_rows->size()) {
+      best_rows = &rows;
+    }
+  }
+
+  auto try_row = [&](size_t row) {
+    const std::vector<Term>& tuple = rel->TupleAt(row);
+    size_t mark = s->touched.size();
+    bool ok = true;
+    for (size_t i = 0; i < atom.args.size() && ok; ++i) {
+      Term arg = atom.args[i];
+      if (!arg.is_variable()) {
+        ok = arg == tuple[i];  // constants and nulls match exactly
+        continue;
+      }
+      uint32_t v = static_cast<uint32_t>(arg.index());
+      if (s->bound[v] != 0) {
+        ok = s->binding[v] == tuple[i];
+      } else {
+        s->bound[v] = 1;
+        s->binding[v] = tuple[i];
+        s->touched.push_back(v);
+      }
+    }
+    if (ok && MatchFlatFrom(atoms, s, depth + 1)) return true;
+    Unbind(s, mark);
+    return false;
+  };
+
+  if (best_rows != nullptr) {
+    for (uint32_t row : *best_rows) {
+      if (try_row(row)) return true;
+    }
+  } else {
+    for (size_t row = 0; row < rel->size(); ++row) {
+      if (try_row(row)) return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+bool HasHomomorphism(std::span<const Atom> atoms, const Instance& instance) {
+  static thread_local HomScratch scratch;
+  HomScratch* s = &scratch;
+  s->relation.clear();
+  uint64_t num_vars = 0;
+  for (const Atom& a : atoms) {
+    const Relation* rel = instance.RelationFor(a.predicate);
+    if (rel == nullptr) return false;  // an atom with no tuples never maps
+    s->relation.push_back(rel);
+    for (Term t : a.args) {
+      if (t.is_variable()) num_vars = std::max(num_vars, t.index() + 1);
+    }
+  }
+  if (s->binding.size() < num_vars) {
+    s->binding.resize(num_vars);
+    s->bound.resize(num_vars, 0);
+  }
+  FlatJoinOrder(atoms, s);
+  Unbind(s, 0);
+  bool found = MatchFlatFrom(atoms, s, 0);
+  // A successful match leaves its bindings in place.
+  Unbind(s, 0);
+  return found;
 }
 
 namespace {

@@ -7,6 +7,7 @@
 #define VADALOG_STORAGE_HOMOMORPHISM_H_
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "ast/atom.h"
@@ -30,9 +31,11 @@ bool ForEachHomomorphism(const std::vector<Atom>& atoms,
                          const Instance& instance, const Substitution& seed,
                          const HomomorphismCallback& callback);
 
-/// True if at least one homomorphism extending `seed` exists.
-bool HasHomomorphism(const std::vector<Atom>& atoms, const Instance& instance,
-                     const Substitution& seed = {});
+/// True if at least one homomorphism h with h(atoms) ⊆ instance exists —
+/// exactly when ForEachHomomorphism (empty seed) finds a match. Same
+/// greedy join order and index choice, on a grow-only thread-local
+/// scratch of flat per-variable-index bindings: no allocation once warm.
+bool HasHomomorphism(std::span<const Atom> atoms, const Instance& instance);
 
 /// Evaluates a CQ over an instance: the set of output tuples h(x̄) over all
 /// homomorphisms. When `certain_only` is set, tuples containing nulls are

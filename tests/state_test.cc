@@ -3,8 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <unordered_map>
+
 #include "ast/parser.h"
+#include "base/rng.h"
 #include "engine/state.h"
+#include "storage/homomorphism.h"
 
 namespace vadalog {
 namespace {
@@ -119,6 +125,80 @@ TEST(SplitComponentsTest, TransitiveConnection) {
   EXPECT_EQ(components.size(), 1u);
 }
 
+/// A random state built around symmetric "stars": a hub variable joined
+/// to 2..7 interchangeable leaves, optionally tagged by a second atom per
+/// leaf (a second tie group) and partly extended (splitting the group).
+/// A 7-leaf star, or two tagged 6-leaf groups, exceed the 720-combination
+/// brute-force cap; smaller ones stay under it. Noise atoms, constants
+/// and repeated atoms are mixed in, then variables are renamed apart and
+/// the atom order is shuffled.
+std::vector<Atom> RandomSymmetricState(Rng* rng) {
+  std::vector<Atom> atoms;
+  uint64_t num_vars = 0;
+  auto some_term = [&]() {
+    if (num_vars == 0 || rng->Chance(0.3)) {
+      return Term::Constant(rng->Below(3));
+    }
+    return Term::Variable(rng->Below(num_vars));
+  };
+  size_t stars = 1 + rng->Below(2);
+  for (size_t g = 0; g < stars; ++g) {
+    Term hub =
+        rng->Chance(0.2) ? Term::Constant(g) : Term::Variable(num_vars++);
+    size_t leaves = 2 + rng->Below(6);
+    bool tagged = rng->Chance(0.5);
+    Term tag = rng->Chance(0.5) ? Term::Constant(1) : hub;
+    for (size_t i = 0; i < leaves; ++i) {
+      Term leaf = Term::Variable(num_vars++);
+      atoms.push_back(MakeAtom(static_cast<PredicateId>(g), {hub, leaf}));
+      if (tagged) atoms.push_back(MakeAtom(2, {leaf, tag}));
+      if (rng->Chance(0.2)) {
+        atoms.push_back(MakeAtom(3, {leaf, Term::Variable(num_vars++)}));
+      }
+    }
+  }
+  size_t noise = rng->Below(3);
+  for (size_t i = 0; i < noise; ++i) {
+    atoms.push_back(MakeAtom(4, {some_term(), some_term()}));
+  }
+  size_t repeats = rng->Below(3);
+  for (size_t i = 0; i < repeats; ++i) {
+    atoms.push_back(atoms[rng->Below(atoms.size())]);
+  }
+
+  std::vector<uint64_t> names(200);
+  std::iota(names.begin(), names.end(), 0);
+  for (size_t i = names.size() - 1; i > 0; --i) {
+    std::swap(names[i], names[rng->Below(i + 1)]);
+  }
+  for (Atom& a : atoms) {
+    for (Term& t : a.args) {
+      if (t.is_variable()) t = Term::Variable(names[t.index()]);
+    }
+  }
+  for (size_t i = atoms.size() - 1; i > 0; --i) {
+    std::swap(atoms[i], atoms[rng->Below(i + 1)]);
+  }
+  return atoms;
+}
+
+TEST(CanonicalizeTest, BranchAndBoundMatchesGeneralBruteForce) {
+  // The flat path's branch-and-bound over tie-group orders must find the
+  // same least encoding as the general path's brute force (a mapping
+  // request forces the general path).
+  Rng rng(20261017);
+  for (int round = 0; round < 400; ++round) {
+    std::vector<Atom> atoms = RandomSymmetricState(&rng);
+    CanonicalState flat = Canonicalize(atoms);
+    std::unordered_map<Term, Term> mapping;
+    CanonicalState general =
+        CanonicalizeEx(atoms, /*rename_nulls=*/false, &mapping);
+    EXPECT_EQ(flat.encoding, general.encoding) << "round " << round;
+    EXPECT_EQ(flat.atoms, general.atoms) << "round " << round;
+    EXPECT_EQ(flat.hash, general.hash) << "round " << round;
+  }
+}
+
 struct DbFixture {
   Program program;
   Instance db;
@@ -161,6 +241,140 @@ TEST(EagerSimplifyTest, GroundAtomInDatabase) {
   std::vector<Atom> atoms = {MakeAtom(f.e, {a, b})};
   EXPECT_EQ(EagerSimplify(&atoms, f.db), 1u);
   EXPECT_TRUE(atoms.empty());
+}
+
+/// Reference simplification, independent of the in-place code: merge
+/// duplicates (OR-ing dirtiness), label components by flood fill in
+/// first-occurrence order, and drop each dirty component that has a
+/// match according to ForEachHomomorphism. Survivors are emitted grouped
+/// by component.
+size_t ReferenceSimplify(std::vector<Atom>* atoms, std::vector<char> dirty,
+                         const Instance& db) {
+  std::vector<Atom> unique;
+  std::vector<char> unique_dirty;
+  for (size_t i = 0; i < atoms->size(); ++i) {
+    auto it = std::find(unique.begin(), unique.end(), (*atoms)[i]);
+    if (it == unique.end()) {
+      unique.push_back((*atoms)[i]);
+      unique_dirty.push_back(dirty[i]);
+    } else {
+      unique_dirty[it - unique.begin()] |= dirty[i];
+    }
+  }
+  size_t n = unique.size();
+  auto share_variable = [&unique](size_t a, size_t b) {
+    for (Term s : unique[a].args) {
+      for (Term t : unique[b].args) {
+        if (s.is_variable() && s == t) return true;
+      }
+    }
+    return false;
+  };
+  std::vector<int> id(n, -1);
+  int components = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (id[i] >= 0) continue;
+    std::vector<size_t> work = {i};
+    id[i] = components;
+    while (!work.empty()) {
+      size_t a = work.back();
+      work.pop_back();
+      for (size_t b = 0; b < n; ++b) {
+        if (id[b] < 0 && share_variable(a, b)) {
+          id[b] = components;
+          work.push_back(b);
+        }
+      }
+    }
+    ++components;
+  }
+  std::vector<Atom> kept;
+  for (int c = 0; c < components; ++c) {
+    std::vector<Atom> members;
+    bool is_dirty = false;
+    for (size_t i = 0; i < n; ++i) {
+      if (id[i] != c) continue;
+      members.push_back(unique[i]);
+      is_dirty = is_dirty || unique_dirty[i] != 0;
+    }
+    bool embeds = false;
+    ForEachHomomorphism(members, db, {}, [&embeds](const Substitution&) {
+      embeds = true;
+      return false;
+    });
+    if (!(is_dirty && embeds)) {
+      kept.insert(kept.end(), members.begin(), members.end());
+    }
+  }
+  size_t removed = n - kept.size();
+  *atoms = std::move(kept);
+  return removed;
+}
+
+TEST(EagerSimplifyTest, InPlaceSimplifyMatchesReference) {
+  // Random states (duplicates, constants, a predicate with no relation,
+  // variable indices past 4096) under random dirty flags: the in-place
+  // incremental simplification must return the reference's atoms in the
+  // reference's order, and with every atom dirty it must agree with
+  // EagerSimplify.
+  ParseResult parsed = ParseProgram(R"(
+    e(a, b). e(b, c). e(c, a). e(c, d). p(a). p(c). q(a, b, c). q(b, b, d).
+  )");
+  ASSERT_TRUE(parsed.ok());
+  Program program = std::move(*parsed.program);
+  Instance db = DatabaseFromFacts(program.facts());
+  SymbolTable& symbols = program.symbols();
+  const PredicateId predicates[] = {
+      symbols.FindPredicate("e"), symbols.FindPredicate("p"),
+      symbols.FindPredicate("q"), symbols.InternPredicate("t", 2)};
+  const Term constants[] = {
+      symbols.InternConstant("a"), symbols.InternConstant("b"),
+      symbols.InternConstant("c"), symbols.InternConstant("d")};
+
+  Rng rng(20261017);
+  for (int round = 0; round < 400; ++round) {
+    std::vector<Atom> atoms;
+    size_t n = 1 + rng.Below(8);
+    for (size_t i = 0; i < n; ++i) {
+      if (!atoms.empty() && rng.Chance(0.1)) {
+        atoms.push_back(atoms[rng.Below(atoms.size())]);
+        continue;
+      }
+      PredicateId p = predicates[rng.Chance(0.1) ? 3 : rng.Below(3)];
+      std::vector<Term> args;
+      for (uint32_t k = 0; k < symbols.PredicateArity(p); ++k) {
+        if (rng.Chance(0.3)) {
+          args.push_back(constants[rng.Below(4)]);
+        } else {
+          uint64_t v = rng.Below(6);
+          args.push_back(Term::Variable(rng.Chance(0.1) ? 4096 + v : v));
+        }
+      }
+      atoms.push_back(Atom(p, std::move(args)));
+    }
+
+    std::vector<char> dirty(atoms.size());
+    for (char& d : dirty) d = rng.Chance(0.6) ? 1 : 0;
+    std::vector<Atom> expected = atoms;
+    size_t expected_removed = ReferenceSimplify(&expected, dirty, db);
+    std::vector<Atom> actual = atoms;
+    EXPECT_EQ(EagerSimplifyIncremental(&actual, db, &dirty),
+              expected_removed)
+        << "round " << round;
+    EXPECT_EQ(actual, expected) << "round " << round;
+
+    std::vector<Atom> all_dirty = atoms;
+    std::vector<char> ones(atoms.size(), 1);
+    size_t removed_incremental =
+        EagerSimplifyIncremental(&all_dirty, db, &ones);
+    std::vector<Atom> full = atoms;
+    EXPECT_EQ(EagerSimplify(&full, db), removed_incremental)
+        << "round " << round;
+    EXPECT_EQ(full, all_dirty) << "round " << round;
+    std::vector<Atom> reference = atoms;
+    ReferenceSimplify(&reference, std::vector<char>(atoms.size(), 1), db);
+    EXPECT_EQ(full, reference) << "round " << round;
+  }
 }
 
 TEST(SelectAtomTest, PrefersMoreRigidArguments) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "ast/parser.h"
+#include "base/rng.h"
 #include "storage/homomorphism.h"
 #include "storage/instance.h"
 
@@ -155,7 +156,64 @@ TEST(HomomorphismTest, EmptyPatternHasIdentityMatch) {
 TEST(HomomorphismTest, MissingPredicateHasNoMatch) {
   Fixture f;
   PredicateId ghost = f.program.symbols().InternPredicate("ghost", 1);
-  EXPECT_FALSE(HasHomomorphism({Atom(ghost, {Term::Variable(0)})}, f.db));
+  EXPECT_FALSE(HasHomomorphism(
+      std::vector<Atom>{Atom(ghost, {Term::Variable(0)})}, f.db));
+}
+
+TEST(HomomorphismTest, FlatMatcherAgreesWithEnumeration) {
+  // Differential check of HasHomomorphism's flat matcher against the
+  // enumerating reference: random patterns over random instances, with
+  // repeated variables, constants, (rigid) nulls in the pattern, a
+  // predicate that has no relation, and variable indices past 4096.
+  // Predicates 0..3 get facts; predicate 4 never has a relation.
+  constexpr PredicateId kNoRelation = 4;
+  const uint32_t arity[] = {1, 2, 2, 3, 2};
+  Rng rng(20261017);
+  auto rigid = [&rng]() {
+    return rng.Chance(0.2) ? Term::Null(rng.Below(2))
+                           : Term::Constant(rng.Below(4));
+  };
+  int matched = 0, unmatched = 0;
+  for (int round = 0; round < 150; ++round) {
+    Instance db;
+    size_t facts = rng.Below(20);
+    for (size_t i = 0; i < facts; ++i) {
+      PredicateId p = static_cast<PredicateId>(rng.Below(kNoRelation));
+      std::vector<Term> args;
+      for (uint32_t k = 0; k < arity[p]; ++k) args.push_back(rigid());
+      db.Insert(Atom(p, std::move(args)));
+    }
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<Atom> pattern;
+      size_t n = 1 + rng.Below(4);
+      for (size_t i = 0; i < n; ++i) {
+        PredicateId p = rng.Chance(0.05)
+                            ? kNoRelation
+                            : static_cast<PredicateId>(rng.Below(kNoRelation));
+        std::vector<Term> args;
+        for (uint32_t k = 0; k < arity[p]; ++k) {
+          if (rng.Chance(0.25)) {
+            args.push_back(rigid());
+          } else {
+            uint64_t v = rng.Below(4);
+            args.push_back(Term::Variable(rng.Chance(0.2) ? 5000 + v : v));
+          }
+        }
+        pattern.push_back(Atom(p, std::move(args)));
+      }
+      bool expected = false;
+      ForEachHomomorphism(pattern, db, {}, [&expected](const Substitution&) {
+        expected = true;
+        return false;
+      });
+      EXPECT_EQ(HasHomomorphism(pattern, db), expected)
+          << "round " << round << " trial " << trial;
+      ++(expected ? matched : unmatched);
+    }
+  }
+  // Both outcomes must be well represented for the check to mean much.
+  EXPECT_GT(matched, 300);
+  EXPECT_GT(unmatched, 300);
 }
 
 TEST(QueryEvalTest, OutputProjection) {
