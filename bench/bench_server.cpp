@@ -146,6 +146,18 @@ const char* kQueryLine =
     "{\"cmd\":\"QUERY\",\"session\":\"owl\",\"query_index\":0,"
     "\"engine\":\"linear\"}";
 
+/// Proof searches the daemon has run so far, over every session and
+/// engine (the vadalog_search_total series).
+uint64_t SearchesRun(const obs::MetricsRegistry& registry) {
+  uint64_t total = 0;
+  for (const obs::Sample& sample : registry.Snapshot()) {
+    if (sample.name == "vadalog_search_total") {
+      total += static_cast<uint64_t>(sample.value);
+    }
+  }
+  return total;
+}
+
 bool LoadSession(BenchClient* client) {
   JsonValue request = JsonValue::Object();
   request.Set("cmd", JsonValue::String("LOAD_PROGRAM"));
@@ -181,7 +193,7 @@ int main() {
   }
   double cold_ms = cold_timer.Ms() / kColdRuns;
 
-  ServerOptions options;
+  ServerConfig options;
   options.tcp_port = 0;
   options.workers = 4;
   Server server(options);
@@ -227,10 +239,14 @@ int main() {
       warm_ms > 0.0 ? cold_ms / warm_ms : 0.0);
 
   // --- throughput at 1 / 4 / 16 clients, cold vs warm cache ------------
+  // "searches" is the pass's vadalog_search_total delta: engine runs,
+  // not queries — concurrent identical cold queries share one search.
   std::printf("\nthroughput over the socket server (queries/sec)\n");
-  Row("%-10s %14s %14s", "clients", "cold cache", "warm cache");
+  Row("%-10s %14s %10s %14s", "clients", "cold cache", "searches",
+      "warm cache");
   for (int clients : {1, 4, 16}) {
     double rates[2] = {0.0, 0.0};
+    uint64_t cold_searches = 0;
     for (int pass = 0; pass < 2; ++pass) {
       // pass 0: session replaced right before, caches empty (cold);
       // pass 1: same session retained, caches hot (warm).
@@ -242,6 +258,7 @@ int main() {
         }
       }
       const int queries_per_client = pass == 0 ? 4 : 16;
+      const uint64_t searches_before = SearchesRun(server.metrics());
       std::atomic<int> bad{0};
       Timer timer;
       std::vector<std::thread> threads;
@@ -268,8 +285,12 @@ int main() {
       failures += bad.load();
       rates[pass] =
           seconds > 0.0 ? clients * queries_per_client / seconds : 0.0;
+      if (pass == 0) {
+        cold_searches = SearchesRun(server.metrics()) - searches_before;
+      }
     }
-    Row("%-10d %14.1f %14.1f", clients, rates[0], rates[1]);
+    Row("%-10d %14.1f %10llu %14.1f", clients, rates[0],
+        static_cast<unsigned long long>(cold_searches), rates[1]);
   }
 
   Server::Stats stats = server.stats();

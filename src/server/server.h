@@ -65,11 +65,6 @@
 
 namespace vadalog {
 
-/// Deprecated spelling: the knobs consolidated into ServerConfig
-/// (server/config.h). Kept for one release so in-tree constructions
-/// keep compiling; new code should say ServerConfig.
-using ServerOptions = ServerConfig;
-
 class Server {
  public:
   explicit Server(ServerConfig config);

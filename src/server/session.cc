@@ -60,6 +60,9 @@ Session::Session(std::string name, std::unique_ptr<Reasoner> reasoner,
   metrics_.queries_waited = registry->GetCounter(
       "vadalog_session_queries_waited_total", labels,
       "queries that blocked behind a cache writer before starting");
+  metrics_.queries_coalesced = registry->GetCounter(
+      "vadalog_session_queries_coalesced_total", labels,
+      "queries answered by an identical concurrent proof search");
   metrics_.cache_evictions = registry->GetCounter(
       "vadalog_session_cache_evictions_total", labels,
       "byte-cap generational evictions (whole cache dropped)");
@@ -302,6 +305,7 @@ protocol::Response Session::Query(const Request& request) {
   CertainAnswerSet set;
   protocol::AnswerTable table;
   bool waited = false;
+  bool coalesced = false;
   {
     base::ReaderLock data(&data_mutex_);
     if (request.query_text.empty() &&
@@ -320,22 +324,43 @@ protocol::Response Session::Query(const Request& request) {
       // count (and time) the wait for observability. The acquisition
       // order (data before cache, so this cannot deadlock with
       // AddFacts) is compiler-checked: see ACQUIRED_BEFORE in session.h.
-      if (!cache_mutex_.TryLockShared()) {
-        waited = true;
-        auto lock_start = std::chrono::steady_clock::now();
-        cache_mutex_.LockShared();
-        spans.lock_wait_us = ElapsedUs(lock_start);
+      //
+      // An identical search already running (same key, and the same
+      // database state: its leader holds the data lock too) is waited
+      // for instead of repeated; the wait is this query's search span.
+      auto flight_start = std::chrono::steady_clock::now();
+      base::SingleFlight<SearchKey, SearchOutcome>::Call flight =
+          searches_.Begin(SearchKey{request.query_index, request.query_text,
+                                    request.engine, request.max_states,
+                                    request.max_millis,
+                                    options.proof.num_threads});
+      if (flight.leader()) {
+        if (!cache_mutex_.TryLockShared()) {
+          waited = true;
+          auto lock_start = std::chrono::steady_clock::now();
+          cache_mutex_.LockShared();
+          spans.lock_wait_us = ElapsedUs(lock_start);
+        }
+        options.proof.cache = cache_.get();
+        RunSearch(query, options, &set, &table, &spans);
+        cache_mutex_.UnlockShared();  // FinishCacheUse re-locks as needed
+        // Copied for waiters only; a leader nobody joined just frees
+        // the key.
+        flight.PublishIfWaited([&] { return SearchOutcome{set, table}; });
+        FinishCacheUse();
+      } else {
+        coalesced = true;
+        set = flight.value()->set;
+        table = flight.value()->table;
+        spans.search_us = ElapsedUs(flight_start);
       }
-      options.proof.cache = cache_.get();
-      RunSearch(query, options, &set, &table, &spans);
-      cache_mutex_.UnlockShared();  // FinishCacheUse re-locks as needed
-      FinishCacheUse();
     } else {
       RunSearch(query, options, &set, &table, &spans);
     }
   }
   metrics_.queries->Add(1);
   if (waited) metrics_.queries_waited->Add(1);
+  if (coalesced) metrics_.queries_coalesced->Add(1);
   if (!set.error.empty()) {
     return protocol::Response(
         ErrorResponse(Error{"EUNSUPPORTED", set.error}, request.id));

@@ -36,6 +36,11 @@
 //     clears it; a duplicate-only or failed batch keeps it. Inline query
 //     texts and the proof-search engines never touch it. Counted in
 //     `answer_memo_hits` / `answer_memo_misses`;
+//   * concurrent identical proof searches run once (single-flight): a
+//     proof-search QUERY arriving while an equal one (same query, engine
+//     and budgets) is searching waits for that search's result. The
+//     waiters are counted in `vadalog_session_queries_coalesced_total`
+//     (their search runs no engine, so not in `vadalog_search_total`);
 //   * the cache has a byte cap covering the proof cache and the answer
 //     memo together (both are reported as `cache_bytes`): when a request
 //     leaves them oversized the proof cache is generationally evicted
@@ -57,6 +62,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <compare>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -64,6 +70,7 @@
 #include <vector>
 
 #include "base/mutex.h"
+#include "base/single_flight.h"
 #include "base/thread_annotations.h"
 #include "engine/search_cache.h"
 #include "obs/log.h"
@@ -137,6 +144,10 @@ class Session {
   JsonValue DescribeLoaded(const JsonValue& id) EXCLUDES(data_mutex_);
 
  private:
+  /// Lets server_test hold proof-search leaders at the cache lock and
+  /// count the waiters on their flights.
+  friend struct SessionTestPeer;
+
   /// The session's registered instrument handles (vadalog_session_* /
   /// vadalog_search_* families, labeled {"session": name}). Registered
   /// once at construction; handles are registry-owned and stable, so the
@@ -147,6 +158,7 @@ class Session {
   struct Metrics {
     obs::Counter* queries = nullptr;
     obs::Counter* queries_waited = nullptr;
+    obs::Counter* queries_coalesced = nullptr;
     obs::Counter* cache_evictions = nullptr;
     obs::Counter* cache_invalidations = nullptr;
     obs::Counter* cache_invalidated_entries = nullptr;
@@ -182,6 +194,24 @@ class Session {
     std::vector<Term> cells;
   };
   static AnswerRows Flatten(const std::vector<std::vector<Term>>& answers);
+
+  /// Everything a proof-search QUERY hands the engine besides the
+  /// database state: the query (pooled index or inline text), the engine
+  /// and the budgets. Concurrent QUERYs with equal keys share one search.
+  struct SearchKey {
+    int64_t query_index = -1;
+    std::string query_text;
+    std::string engine;
+    uint64_t max_states = 0;
+    uint64_t max_millis = 0;
+    uint32_t threads = 0;  // effective: the request's or the default
+    auto operator<=>(const SearchKey&) const = default;
+  };
+  /// A search's result as its leader hands it to coalesced waiters.
+  struct SearchOutcome {
+    CertainAnswerSet set;
+    protocol::AnswerTable table;
+  };
 
   /// The search + answer-render step of Query, factored out so the
   /// cache-holding and cache-free paths stay branch-uniform for the
@@ -263,6 +293,14 @@ class Session {
   /// exclusive one.
   std::vector<std::shared_ptr<const AnswerRows>> memo_ GUARDED_BY(memo_mutex_);
   size_t memo_bytes_ GUARDED_BY(memo_mutex_) = 0;
+
+  /// In-flight proof searches. Every participant of a flight holds the
+  /// shared data lock from before it joins until it has the result, so
+  /// no ADD_FACTS lands in between: a coalesced result always answers
+  /// the database state the waiter sees. Waiters hold no cache or memo
+  /// lock while they block, and leaders publish before FinishCacheUse
+  /// (which may take the cache lock exclusively).
+  base::SingleFlight<SearchKey, SearchOutcome> searches_;
 
   /// All per-session counters live in the metrics registry; STATS and
   /// METRICS read the same handles, one source of truth. (The former

@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <regex>
 #include <string>
@@ -33,6 +34,35 @@
 #include "vadalog/reasoner.h"
 
 namespace vadalog {
+
+/// Holds a session's proof-search leaders at the cache lock, so a test
+/// can watch identical queries join their flights before any search
+/// runs — coalescing becomes deterministic instead of a timing race.
+struct SessionTestPeer {
+  /// Callers waiting on the flight of pooled query 0 under the linear
+  /// engine with `threads` and `max_states` (max_millis unset).
+  static size_t Waiters(Session& session, uint32_t threads,
+                        uint64_t max_states) {
+    return session.searches_.waiters(
+        Session::SearchKey{0, "", "linear", max_states, 0, threads});
+  }
+
+  /// Takes `session`'s cache lock exclusively — a flight's leader then
+  /// blocks before searching — runs `send`, and keeps the lock until
+  /// `joined()` holds or 10 s pass. Returns whether `joined()` held.
+  static bool HoldLeaders(Session& session, const std::function<void()>& send,
+                          const std::function<bool()>& joined) {
+    base::WriterLock hold(&session.cache_mutex_);
+    send();
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!joined()) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  }
+};
+
 namespace {
 
 #ifndef _WIN32
@@ -131,7 +161,7 @@ class TestClient {
   std::string buffer_;
 };
 
-std::unique_ptr<Server> StartServer(ServerOptions options = {}) {
+std::unique_ptr<Server> StartServer(ServerConfig options = {}) {
   options.tcp_port = 0;  // ephemeral
   auto server = std::make_unique<Server>(std::move(options));
   std::string error;
@@ -302,7 +332,7 @@ TEST(ServerTest, ConcurrentLoadsQueriesAndUnloadsStayCoherent) {
 }
 
 TEST(ServerTest, AdmissionControlRejectsWithEbusy) {
-  ServerOptions options;
+  ServerConfig options;
   options.workers = 1;
   options.max_inflight = 1;
   options.max_inflight_per_session = 1;
@@ -438,7 +468,7 @@ TEST(ServerTest, RecvChunkReportsTimeoutAsRetryNotClose) {
 // and mid-request pauses longer than the timeout must not cost the
 // connection or the buffered request prefix.
 TEST(ServerTest, RecvTimeoutKeepsSlowConnectionsAndPartialRequests) {
-  ServerOptions options;
+  ServerConfig options;
   options.recv_timeout_ms = 20;
   std::unique_ptr<Server> server = StartServer(options);
 
@@ -489,7 +519,7 @@ TEST(ServerTest, RecvTimeoutKeepsSlowConnectionsAndPartialRequests) {
 }
 
 TEST(ServerTest, UnixSocketEndpointServes) {
-  ServerOptions options;
+  ServerConfig options;
   options.tcp = false;
   options.unix_path = "/tmp/vadalogd_test_" + std::to_string(::getpid()) +
                       ".sock";
@@ -765,6 +795,131 @@ TEST(ServerTest, MemoHitsMatchAColdReasonerByteForByte) {
   EXPECT_EQ(stats->Find("session")->GetUint("answer_memo_misses"), 1u);
   EXPECT_EQ(stats->Find("session")->GetUint("answer_memo_hits"),
             expected.size() * 4 - 1);
+  server->Stop();
+}
+
+// The Example 3.3 OWL 2 QL encoding (bench_server's program): ada is
+// not a student, which the linear search refutes.
+constexpr const char* kRefutationProgram = R"(
+  subclassStar(X, Y) :- subclass(X, Y).
+  subclassStar(X, Z) :- subclassStar(X, Y), subclass(Y, Z).
+  type(X, Z) :- type(X, Y), subclassStar(Y, Z).
+  triple(X, Z, W) :- type(X, Y), restriction(Y, Z).
+  triple(Z, W, X) :- triple(X, Y, Z), inverse(Y, W).
+  type(X, W) :- triple(X, Y, Z), restriction(W, Y).
+  subclass(professor, faculty).
+  subclass(faculty, employee).
+  subclass(employee, person).
+  restriction(teacher, teaches).
+  inverse(teaches, taughtBy).
+  restriction(student, taughtBy).
+  type(ada, professor).
+  type(ada, teacher).
+  ?() :- type(ada, student).
+)";
+
+/// What the session "burst" did: linear proof searches, and queries
+/// that waited for an identical one instead.
+struct BurstCounts {
+  uint64_t searches = 0;
+  uint64_t coalesced = 0;
+};
+
+BurstCounts ReadBurstCounts(Server* server) {
+  obs::MetricsRegistry& registry = server->metrics();
+  return {registry
+              .GetCounter("vadalog_search_total",
+                          {{"session", "burst"}, {"engine", "linear"}})
+              ->Value(),
+          registry
+              .GetCounter("vadalog_session_queries_coalesced_total",
+                          {{"session", "burst"}})
+              ->Value()};
+}
+
+/// Reloads "burst" with kRefutationProgram (cold cache), holds its
+/// search leaders while client c sends `lines[c]`, releases them once
+/// `joined(session)` holds, and returns what the burst cost. Every reply
+/// must be complete and equal `want`.
+BurstCounts RunHeldBurst(Server* server, const std::vector<std::string>& lines,
+                         const std::vector<std::vector<std::string>>& want,
+                         const std::function<bool(Session&)>& joined) {
+  TestClient loader(server->tcp_port());
+  EXPECT_TRUE(loader.RoundTrip(LoadLine("burst", kRefutationProgram))
+                  ->GetBool("ok"));
+  std::shared_ptr<Session> session = server->registry().Find("burst");
+  BurstCounts before = ReadBurstCounts(server);
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  auto send = [&] {
+    for (const std::string& line : lines) {
+      threads.emplace_back([&, line] {
+        TestClient client(server->tcp_port());
+        std::optional<JsonValue> response = client.RoundTrip(line);
+        if (!response.has_value() || !response->GetBool("ok") ||
+            !response->GetBool("complete") || RowsOf(*response) != want) {
+          ++bad;
+        }
+      });
+    }
+  };
+  EXPECT_TRUE(SessionTestPeer::HoldLeaders(*session, send,
+                                           [&] { return joined(*session); }))
+      << "the identical queries never joined one flight";
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  BurstCounts after = ReadBurstCounts(server);
+  return {after.searches - before.searches,
+          after.coalesced - before.coalesced};
+}
+
+std::string BurstQuery(uint32_t threads, uint64_t max_states) {
+  return R"({"cmd":"QUERY","session":"burst","query_index":0,)"
+         R"("engine":"linear","threads":)" +
+         std::to_string(threads) +
+         R"(,"max_states":)" + std::to_string(max_states) + "}";
+}
+
+// A cold burst of one decision runs one search: the first query leads,
+// and the other three — held until they have joined its flight — take
+// its result instead of searching. Every answer is the serial one.
+TEST(ServerTest, ColdBurstOfOneRefutationSharesTheSearch) {
+  ServerConfig config;
+  config.workers = 4;
+  std::unique_ptr<Server> server = StartServer(config);
+  const std::vector<std::vector<std::string>> serial =
+      DirectAnswers(kRefutationProgram, "linear")[0];
+  ASSERT_TRUE(serial.empty());  // a refutation
+  for (uint32_t threads : {1u, 4u}) {
+    BurstCounts burst = RunHeldBurst(
+        server.get(), std::vector<std::string>(4, BurstQuery(threads, 0)),
+        serial, [threads](Session& session) {
+          return SessionTestPeer::Waiters(session, threads, 0) == 3;
+        });
+    EXPECT_EQ(burst.searches, 1u) << "threads=" << threads;
+    EXPECT_EQ(burst.coalesced, 3u) << "threads=" << threads;
+  }
+  server->Stop();
+}
+
+// Different budgets never share a result: a burst under two max_states
+// runs two searches, each answering its own budget's second query.
+TEST(ServerTest, ColdBurstUnderTwoBudgetsRunsTwoSearches) {
+  ServerConfig config;
+  config.workers = 4;
+  std::unique_ptr<Server> server = StartServer(config);
+  const std::vector<std::vector<std::string>> serial =
+      DirectAnswers(kRefutationProgram, "linear")[0];
+  BurstCounts burst = RunHeldBurst(
+      server.get(),
+      {BurstQuery(1, 1000000), BurstQuery(1, 1000001),
+       BurstQuery(1, 1000000), BurstQuery(1, 1000001)},
+      serial, [](Session& session) {
+        return SessionTestPeer::Waiters(session, 1, 1000000) == 1 &&
+               SessionTestPeer::Waiters(session, 1, 1000001) == 1;
+      });
+  EXPECT_EQ(burst.searches, 2u);
+  EXPECT_EQ(burst.coalesced, 2u);
   server->Stop();
 }
 

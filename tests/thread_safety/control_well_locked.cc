@@ -1,13 +1,27 @@
 // MUST COMPILE cleanly under clang -Wthread-safety -Wthread-safety-beta
 // -Werror: the positive control for the compile-fail harness. It uses
-// the same base/mutex.h vocabulary as the three violation TUs —
-// GUARDED_BY, REQUIRES_SHARED, ACQUIRED_BEFORE, a role capability —
-// with every access correctly locked. If this TU fails, the harness's
-// failures are meaningless (the flags or the wrappers are broken, not
-// the violations detected).
+// the same base/mutex.h vocabulary as the violation TUs — GUARDED_BY,
+// REQUIRES_SHARED, ACQUIRED_BEFORE, a role capability, SingleFlight's
+// in-flight table — with every access correctly locked. If this TU
+// fails, the harness's failures are meaningless (the flags or the
+// wrappers are broken, not the violations detected).
 
 #include "base/mutex.h"
+#include "base/single_flight.h"
 #include "base/thread_annotations.h"
+
+namespace vadalog {
+namespace base {
+
+struct SingleFlightPeer {
+  static size_t InFlight(const SingleFlight<int, int>& flights) {
+    MutexLock lock(&flights.mutex_);
+    return flights.in_flight_.size();
+  }
+};
+
+}  // namespace base
+}  // namespace vadalog
 
 namespace {
 
@@ -50,6 +64,8 @@ class WellLocked {
 }  // namespace
 
 int TouchControlWellLocked() {
+  vadalog::base::SingleFlight<int, int> flights;
+  if (vadalog::base::SingleFlightPeer::InFlight(flights) != 0) return -1;
   WellLocked locked;
   locked.Bump();
   locked.LoopOnlyTouch();
