@@ -146,10 +146,8 @@ int main() {
         fresh_agrees ? "yes" : "NO");
   }
 
-  // -- (2b) Subsumption ablation + parallel frontier on the expensive
-  // owl2ql refutation: pruning is the state-space lever, threads the
-  // wall-clock lever (thread gains require actual cores; the counters
-  // must be identical regardless).
+  // -- (2b) Subsumption ablation on the expensive owl2ql refutation:
+  // pruning is the state-space lever.
   {
     Program program = MakeOwl2QlProgram();
     std::string facts = R"(
@@ -173,29 +171,18 @@ int main() {
     ada_types.atoms = {Atom(type, {ada, Term::Variable(0)})};
 
     Row("");
-    Row("%-28s %10s %10s %10s %10s", "refutation ablation", "ms", "visited",
-        "discarded", "threads");
-    struct Config {
-      const char* label;
-      bool subsumption;
-      uint32_t threads;
-    };
-    constexpr Config kConfigs[] = {
-        {"no pruning, 1 thread", false, 1},
-        {"subsumption, 1 thread", true, 1},
-        {"subsumption, 4 threads", true, 4},
-    };
-    for (const Config& config : kConfigs) {
+    Row("%-28s %10s %10s %10s", "refutation ablation", "ms", "visited",
+        "discarded");
+    for (bool subsumption : {false, true}) {
       ProofSearchOptions options;
-      options.subsumption = config.subsumption;
-      options.num_threads = config.threads;
+      options.subsumption = subsumption;
       Timer t;
       ProofSearchResult r =
           LinearProofSearch(program, db, ada_types, {student}, options);
-      Row("%-28s %10.2f %10llu %10llu %10u", config.label, t.Ms(),
+      const char* label = subsumption ? "subsumption" : "no pruning";
+      Row("%-28s %10.2f %10llu %10llu", label, t.Ms(),
           static_cast<unsigned long long>(r.states_visited),
-          static_cast<unsigned long long>(r.subsumed_discarded),
-          config.threads);
+          static_cast<unsigned long long>(r.subsumed_discarded));
       if (r.accepted) Row("  !! expected a refutation");
     }
   }
@@ -226,46 +213,18 @@ int main() {
     ProofSearchOptions options;
     options.cache = &cache;
     Row("");
-    Row("%-28s %10s %10s %12s %8s", "alternating (14-node TC)", "ms",
-        "states", "cache-hits", "result");
+    Row("%-28s %10s %10s %10s %12s %8s", "alternating (14-node TC)", "ms",
+        "states", "refuted", "cache-hits", "result");
     for (const char* label : {"refute t(v0, zz) (cold)",
                               "refute t(v0, zz) (warm)"}) {
       Timer timer;
       AlternatingSearchResult r =
           AlternatingProofSearch(program, db, query, {absent}, options);
-      Row("%-28s %10.2f %10llu %12llu %8s", label, timer.Ms(),
+      Row("%-28s %10.2f %10llu %10llu %12llu %8s", label, timer.Ms(),
           static_cast<unsigned long long>(r.states_expanded),
+          static_cast<unsigned long long>(r.refuted_cached),
           static_cast<unsigned long long>(r.cache_hits),
           r.accepted ? "entailed" : "refuted");
-    }
-
-    // -- (3b) Explicit-stack alternating ablation: fork_depth widens the
-    // prefix of the AND/OR tree whose children run as isolated branch
-    // tasks (the parallel unit), at the price of sibling memo sharing —
-    // states may grow with fork_depth but must be identical across
-    // thread counts (the determinism contract), and every verdict must
-    // match. Cold caches per row so rows are comparable.
-    Row("");
-    Row("%-28s %10s %10s %12s %8s", "alternating fork ablation", "ms",
-        "states", "refuted", "result");
-    for (uint32_t fork_depth : {0u, 1u, 2u}) {
-      for (uint32_t threads : {1u, 4u}) {
-        ProofSearchCache fresh(program, db);
-        ProofSearchOptions ablation;
-        ablation.cache = &fresh;
-        ablation.fork_depth = fork_depth;
-        ablation.num_threads = threads;
-        Timer timer;
-        AlternatingSearchResult r = AlternatingProofSearch(
-            program, db, query, {absent}, ablation);
-        char label[64];
-        std::snprintf(label, sizeof label, "fork_depth=%u, %u thread%s",
-                      fork_depth, threads, threads == 1 ? "" : "s");
-        Row("%-28s %10.2f %10llu %12llu %8s", label, timer.Ms(),
-            static_cast<unsigned long long>(r.states_expanded),
-            static_cast<unsigned long long>(r.refuted_cached),
-            r.accepted ? "ENTAILED?!" : "refuted");
-      }
     }
   }
   return 0;

@@ -15,9 +15,7 @@
 // capabilities, ACQUIRE/RELEASE annotate the lock primitives themselves,
 // and ACQUIRED_BEFORE declares lock ordering (checked under
 // -Wthread-safety-beta). NO_THREAD_SAFETY_ANALYSIS is the escape hatch;
-// repo policy (README "Concurrency invariants") allows it only on the
-// fork-join revocation handoff in worker_pool.cc, and every use must
-// carry a written invariant.
+// repo policy (README "Concurrency invariants") allows no use of it.
 
 #ifndef VADALOG_BASE_THREAD_ANNOTATIONS_H_
 #define VADALOG_BASE_THREAD_ANNOTATIONS_H_

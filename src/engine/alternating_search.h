@@ -19,15 +19,12 @@
 //
 // The machine is an explicit-stack iterative DFS: frames live on the
 // heap, so proof depth is bounded only by the max_states/max_millis
-// budgets — never by the OS stack. The top ProofSearchOptions.fork_depth
-// tree levels run their children as isolated branch tasks, speculatively
-// in parallel on the shared worker pool and folded deterministically in
-// child order: on untimed searches, verdicts and all counters are
-// bit-identical for any num_threads. A max_millis deadline is wall-clock
-// and therefore schedule-dependent — a loaded host can push a timed
-// search over the deadline at one thread count and not another (the
-// give-up is still reported honestly as budget_exhausted, never as a
-// refutation) — exactly as for the parallel linear BFS.
+// budgets — never by the OS stack. It is one sequential machine: every
+// subgoal shares the search's memo tables, and proven/refuted states
+// reach the shared cache and refutation bank in one deferred flush after
+// the search, in finalize order. On untimed searches verdicts and
+// counters are deterministic; a max_millis deadline is wall-clock, and
+// its give-up is reported as budget_exhausted, never as a refutation.
 
 #ifndef VADALOG_ENGINE_ALTERNATING_SEARCH_H_
 #define VADALOG_ENGINE_ALTERNATING_SEARCH_H_

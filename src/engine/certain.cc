@@ -6,7 +6,6 @@
 
 #include "engine/search_cache.h"
 #include "engine/subsumption.h"
-#include "server/worker_pool.h"
 #include "storage/homomorphism.h"
 
 namespace vadalog {
@@ -118,11 +117,9 @@ CertainAnswerSet CertainAnswersViaSearchChecked(
   // sweep-shared SubsumptionIndex rides along: completed refutations bank
   // their visited subtrees there, and every later candidate's search
   // discards frontier states a banked state maps into — subsumption-based
-  // transfer on top of the cache's exact-match tables. A parallel sweep
-  // additionally gets one persistent worker pool for all candidates.
+  // transfer on top of the cache's exact-match tables.
   std::optional<ProofSearchCache> local_cache;
   SubsumptionIndex sweep_refuted;
-  std::optional<WorkerPool> sweep_pool;
   ProofSearchOptions effective = options;
   if (effective.cache == nullptr) {
     local_cache.emplace(program, database);
@@ -130,15 +127,6 @@ CertainAnswerSet CertainAnswersViaSearchChecked(
   }
   if (effective.shared_refuted == nullptr && effective.subsumption) {
     effective.shared_refuted = &sweep_refuted;
-  }
-  if (effective.pool == nullptr && effective.num_threads > 1 &&
-      (!use_alternating || effective.fork_depth > 0)) {
-    // Helpers only — the sweep's calling thread takes a share per level
-    // (linear) or per branch batch (alternating; with fork_depth == 0
-    // the machine is fully sequential and a pool would just idle). 64
-    // mirrors the searches' own worker cap.
-    sweep_pool.emplace(std::min<uint32_t>(effective.num_threads, 64) - 1);
-    effective.pool = &*sweep_pool;
   }
   for (const std::vector<Term>& candidate : candidates) {
     bool certain = false;

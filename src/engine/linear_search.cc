@@ -1,7 +1,6 @@
 #include "engine/linear_search.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <optional>
 #include <unordered_map>
@@ -16,7 +15,6 @@
 #include "engine/state.h"
 #include "engine/subsumption.h"
 #include "obs/metrics.h"
-#include "server/worker_pool.h"
 #include "storage/homomorphism.h"
 
 namespace vadalog {
@@ -35,7 +33,7 @@ struct ParentEdge {
   ProofStep step;                // op that produced the child
 };
 
-/// A successor that survived the worker-side filters (simplify, width,
+/// A successor that survived the expansion-side filters (simplify, width,
 /// dead-state, visited snapshot, exact cache) and awaits the merge phase.
 struct Candidate {
   CanonicalState state;
@@ -44,9 +42,8 @@ struct Candidate {
   bool fresh = false;  // true iff this candidate inserted that node
 };
 
-/// Everything one frontier expansion produces. Workers fill these
-/// independently (one slot per frontier index), so the merge can process
-/// them in deterministic frontier order regardless of scheduling.
+/// Everything one frontier expansion produces (one slot per frontier
+/// index), merged afterwards in frontier order.
 struct ExpandOutput {
   std::vector<Candidate> candidates;
   bool accepted = false;
@@ -57,13 +54,6 @@ struct ExpandOutput {
   size_t peak_state_bytes = 0;
 };
 
-constexpr size_t kVisitedShards = 64;  // power of two
-
-// Upper bound on worker threads regardless of what the caller asks for:
-// oversubscription beyond this buys nothing, and an absurd request must
-// degrade instead of making the fallback pool's thread spawns throw.
-constexpr uint32_t kMaxSearchThreads = 64;
-
 /// One queued frontier state plus its subsumption-index registration id
 /// (the deterministic tie-break for same-size subsumption).
 struct LevelEntry {
@@ -71,22 +61,19 @@ struct LevelEntry {
   int64_t ordinal;
 };
 
-/// The level-synchronous BFS driver. One code path serves the
-/// single-threaded and the parallel search: each level is (1) expanded —
-/// by a worker pool when wide enough — against a read-only snapshot of
-/// the sharded visited table, (2) deduplicated into the shards (workers
-/// own disjoint shards, processing candidates in frontier order), and
-/// (3) merged sequentially in frontier order (acceptance, subsumption
-/// discard and retirement, provenance, next frontier). Only phase 3
-/// touches the subsumption indexes, so they stay single-threaded by
-/// construction, and the decision — and on completed refutations every
-/// counter — is independent of the thread count.
+/// The level-synchronous BFS driver. Each level is (1) filtered by
+/// subsumption, (2) expanded against the visited table as of the level
+/// start, (3) deduplicated into the visited table in frontier order, and
+/// (4) merged in frontier order (acceptance, provenance, subsumption
+/// registration, next frontier). Successors found within one level are
+/// therefore never deduplicated against each other during expansion,
+/// which fixes the exploration counters to the level structure.
 class LinearSearcher {
  public:
   LinearSearcher(const Program& program, const Instance& database,
                  const ProgramIndex& index, const ProofSearchOptions& options,
-                 size_t width, size_t max_chunk, WorkerPool* pool,
-                 ProofSearchResult* result, ProofExplanation* explanation)
+                 size_t width, size_t max_chunk, ProofSearchResult* result,
+                 ProofExplanation* explanation)
       : program_(program),
         database_(database),
         index_(index),
@@ -97,12 +84,8 @@ class LinearSearcher {
         max_chunk_(max_chunk),
         max_states_(options.max_states),
         timed_(options.max_millis != 0),
-        num_threads_(std::min(kMaxSearchThreads,
-                              std::max<uint32_t>(1, options.num_threads))),
-        pool_(pool),
         result_(result),
-        explanation_(explanation),
-        shards_(kVisitedShards) {
+        explanation_(explanation) {
     if (timed_) {
       deadline_ = std::chrono::steady_clock::now() +
                   std::chrono::milliseconds(options.max_millis);
@@ -129,10 +112,10 @@ class LinearSearcher {
     while (!level.empty() && !result_->accepted &&
            !result_->budget_exhausted) {
       // Subsumption pruning happens here, per level, just before the
-      // workers launch: one sequential pass while the index is quiescent,
-      // against everything registered so far — including this level's own
-      // siblings (discard + retirement unified). States a budget cut
-      // strands unexpanded never pay for a query.
+      // expansion: one pass against everything registered so far —
+      // including this level's own siblings (discard + retirement
+      // unified). States a budget cut strands unexpanded never pay for a
+      // query.
       if (subsumption_) FilterLevel(&level);
       if (level.empty()) break;
 
@@ -165,11 +148,6 @@ class LinearSearcher {
   }
 
  private:
-  std::unordered_set<CanonicalState, CanonicalStateHash>& ShardFor(
-      size_t hash) {
-    return shards_[hash & (kVisitedShards - 1)];
-  }
-
   /// The unified subsumption pass: drops every queued state some other
   /// registered state maps into — visited states of earlier levels
   /// (classic discard), same-level siblings registered earlier or
@@ -216,61 +194,29 @@ class LinearSearcher {
     level->resize(kept);
   }
 
-  /// Expands `level[0..allowed)` into `outputs`, in parallel when the
-  /// level is wide enough. Returns the number of completed expansions
-  /// (less than `allowed` only on early accept / deadline stop).
+  /// Expands `level[0..allowed)` into `outputs`. Returns the number of
+  /// completed expansions (less than `allowed` only on early accept /
+  /// deadline stop).
   size_t ExpandLevel(const std::vector<LevelEntry>& level, size_t allowed,
                      std::vector<ExpandOutput>* outputs) {
-    std::atomic<size_t> next{0};
-    std::atomic<bool> stop{false};
-    std::atomic<size_t> expanded{0};
-    std::atomic<uint64_t> clock_ticks{0};
-    std::atomic<bool> deadline_hit{false};
     // Early accept-abort trades which proof is found for wall-clock; with
-    // explanations requested every claimed state is finished so the merge
+    // explanations requested every state is finished so the merge
     // deterministically picks the first accepting edge in frontier order.
     const bool abort_on_accept = explanation_ == nullptr;
-
-    auto worker = [&]() {
-      while (!stop.load(std::memory_order_relaxed)) {
-        size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= allowed) break;
-        if (timed_ &&
-            (clock_ticks.fetch_add(1, std::memory_order_relaxed) & 63) ==
-                0 &&
-            std::chrono::steady_clock::now() >= deadline_) {
-          deadline_hit.store(true, std::memory_order_relaxed);
-          stop.store(true, std::memory_order_relaxed);
-          break;
-        }
-        ExpandState(*level[i].state, &(*outputs)[i]);
-        expanded.fetch_add(1, std::memory_order_relaxed);
-        if ((*outputs)[i].accepted && abort_on_accept) {
-          stop.store(true, std::memory_order_relaxed);
-        }
+    for (size_t i = 0; i < allowed; ++i) {
+      if (timed_ && (i & 63) == 0 &&
+          std::chrono::steady_clock::now() >= deadline_) {
+        result_->budget_exhausted = true;
+        return i;
       }
-    };
-
-    size_t threads = std::min<size_t>(num_threads_, allowed);
-    if (threads <= 1 || allowed < 2 * static_cast<size_t>(num_threads_) ||
-        pool_ == nullptr) {
-      worker();
-    } else {
-      // Fork onto the persistent pool; the calling thread takes a
-      // worker's share instead of idling, and helpers the pool never got
-      // to are revoked (the atomic `next` counter makes any participant
-      // count complete the level).
-      pool_->ParallelInvoke(threads - 1, worker);
+      ExpandState(*level[i].state, &(*outputs)[i]);
+      if ((*outputs)[i].accepted && abort_on_accept) return i + 1;
     }
-    if (deadline_hit.load(std::memory_order_relaxed)) {
-      result_->budget_exhausted = true;
-    }
-    return expanded.load(std::memory_order_relaxed);
+    return allowed;
   }
 
   /// Expands one canonical state: match-and-drop plus anchored chunk
-  /// resolutions through the selected atom. Reads shared state only
-  /// through thread-safe paths (visited snapshot, exact cache lookups).
+  /// resolutions through the selected atom.
   void ExpandState(const CanonicalState& state, ExpandOutput* out) {
     size_t selected = SelectAtom(state.atoms, database_);
     const Atom& pivot = state.atoms[selected];
@@ -346,9 +292,9 @@ class LinearSearcher {
     }
     out->peak_state_bytes =
         std::max(out->peak_state_bytes, canonical.ApproximateBytes());
-    // Snapshot dedupe: reads the shards as of the level start (the merge
+    // Snapshot dedupe: the visited table as of the level start (the merge
     // re-checks authoritatively, so intra-level duplicates are fine).
-    if (ShardFor(canonical.hash).count(canonical) > 0) return false;
+    if (visited_.count(canonical) > 0) return false;
     if (cache_ != nullptr &&
         cache_->LinearKnownRefuted(canonical, width_, max_chunk_)) {
       ++out->cache_hits;  // a previous search refuted this whole subtree
@@ -362,51 +308,22 @@ class LinearSearcher {
     return false;
   }
 
-  /// Phase 2: sharded dedupe into the visited table. Worker w owns shards
-  /// s with s % W == w and processes all candidates in frontier order, so
-  /// each candidate has exactly one writer and per-shard insertion order
-  /// is deterministic.
+  /// Dedupes every candidate into the visited table in frontier order,
+  /// logging fresh states in first-visit order.
   void DedupeCandidates(const std::vector<ExpandOutput*>& outputs) {
-    auto dedupe = [this, &outputs](size_t worker, size_t workers) {
-      for (ExpandOutput* out : outputs) {
-        for (Candidate& candidate : out->candidates) {
-          size_t shard = candidate.state.hash & (kVisitedShards - 1);
-          if (shard % workers != worker) continue;
-          // The candidate state is dead after this (visited/fresh carry
-          // everything the merge needs), so move it into the table.
-          auto [it, inserted] =
-              shards_[shard].insert(std::move(candidate.state));
-          candidate.visited = &*it;
-          candidate.fresh = inserted;
-        }
+    for (ExpandOutput* out : outputs) {
+      for (Candidate& candidate : out->candidates) {
+        // The candidate state is dead after this (visited/fresh carry
+        // everything the merge needs), so move it into the table.
+        auto [it, inserted] = visited_.insert(std::move(candidate.state));
+        candidate.visited = &*it;
+        candidate.fresh = inserted;
+        if (inserted) visit_order_.push_back(&*it);
       }
-    };
-    size_t total = 0;
-    for (const ExpandOutput* out : outputs) total += out->candidates.size();
-    size_t workers = std::min<size_t>(num_threads_, kVisitedShards);
-    // Hash inserts are ~100 ns and every worker scans all candidates for
-    // shard ownership, so parallel dedupe only pays for itself on levels
-    // with thousands of candidates.
-    if (workers <= 1 || total < 4096 || pool_ == nullptr) {
-      dedupe(0, 1);
-      return;
     }
-    // Shard classes are claimed dynamically: ParallelInvoke may deliver
-    // fewer participants than requested (revoked helpers), and every
-    // class must be processed exactly once. Which thread handles a class
-    // does not matter — per-shard insertion order is frontier order
-    // either way.
-    std::atomic<size_t> next_class{0};
-    pool_->ParallelInvoke(workers - 1, [&] {
-      size_t w;
-      while ((w = next_class.fetch_add(1, std::memory_order_relaxed)) <
-             workers) {
-        dedupe(w, workers);
-      }
-    });
   }
 
-  /// Phase 3: sequential merge in frontier order — acceptance, provenance,
+  /// Sequential merge in frontier order — acceptance, provenance,
   /// subsumption registration, and the next frontier. The subsumption
   /// *queries* happen later, in FilterLevel, so unexpanded states never
   /// pay for them. `parents[i]` may be null (the synthetic root).
@@ -454,9 +371,7 @@ class LinearSearcher {
   }
 
   void Finish() {
-    size_t visited = 0;
-    for (const auto& shard : shards_) visited += shard.size();
-    result_->states_visited = visited;
+    result_->states_visited = visited_.size();
     result_->subsumption_checks = visited_subsumers_.stats().hom_checks;
     if (!result_->accepted && !result_->budget_exhausted) {
       // A completed BFS is a refutation certificate for every state it
@@ -465,15 +380,14 @@ class LinearSearcher {
       // budget-exhausted (or accepted) run records nothing — an aborted
       // refutation is not a refutation certificate. Certificates go to
       // the session cache (exact, interned, long-lived) and to the
-      // sweep-shared subsumption bank (full states, sweep-lived).
-      for (const auto& shard : shards_) {
-        for (const CanonicalState& state : shard) {
-          if (cache_ != nullptr) {
-            cache_->LinearRecordRefuted(state, width_, max_chunk_);
-          }
-          if (shared_refuted_ != nullptr) {
-            shared_refuted_->Add(state, width_, max_chunk_);
-          }
+      // sweep-shared subsumption bank (full states, sweep-lived), in
+      // first-visit order.
+      for (const CanonicalState* state : visit_order_) {
+        if (cache_ != nullptr) {
+          cache_->LinearRecordRefuted(*state, width_, max_chunk_);
+        }
+        if (shared_refuted_ != nullptr) {
+          shared_refuted_->Add(*state, width_, max_chunk_);
         }
       }
     }
@@ -502,13 +416,12 @@ class LinearSearcher {
   const size_t max_chunk_;
   const uint64_t max_states_;
   const bool timed_;
-  const uint32_t num_threads_;
-  WorkerPool* pool_;
   std::chrono::steady_clock::time_point deadline_{};
   ProofSearchResult* result_;
   ProofExplanation* explanation_;
 
-  std::vector<std::unordered_set<CanonicalState, CanonicalStateHash>> shards_;
+  std::unordered_set<CanonicalState, CanonicalStateHash> visited_;
+  std::vector<const CanonicalState*> visit_order_;
   SubsumptionIndex visited_subsumers_;
   std::unordered_map<std::vector<uint64_t>, ParentEdge, EncodingHash>
       parents_;
@@ -561,19 +474,8 @@ ProofSearchResult LinearProofSearch(const Program& program,
   const ProgramIndex& index =
       options.cache != nullptr ? options.cache->index() : *local_index;
 
-  // A parallel search without a caller-supplied pool gets a private one
-  // for its own lifetime: one spawn per search, not one per level.
-  uint32_t threads = std::min(kMaxSearchThreads,
-                              std::max<uint32_t>(1, options.num_threads));
-  std::optional<WorkerPool> own_pool;
-  WorkerPool* pool = options.pool;
-  if (pool == nullptr && threads > 1) {
-    own_pool.emplace(threads - 1);
-    pool = &*own_pool;
-  }
-
-  LinearSearcher searcher(program, database, index, options, width,
-                          max_chunk, pool, &result, explanation);
+  LinearSearcher searcher(program, database, index, options, width, max_chunk,
+                          &result, explanation);
   searcher.Run(std::move(*frozen));
   if (options.metrics != nullptr) {
     options.metrics->RecordSearch(result.states_expanded, result.cache_hits,

@@ -45,7 +45,6 @@ struct EngineCounters;
 
 class ProofSearchCache;
 class SubsumptionIndex;
-class WorkerPool;
 
 struct ProofSearchOptions {
   /// Maximum atoms per CQ state. 0 = derive f_WARD∩PWL(q, Σ) from the
@@ -64,28 +63,8 @@ struct ProofSearchOptions {
   /// exhaustion reports not-accepted with `budget_exhausted` set.
   uint64_t max_millis = 0;
 
-  /// Worker threads; 0 or 1 = single-threaded. Drives both engines
-  /// uniformly. Linear BFS: each level is expanded by a worker pool
-  /// against a read-only snapshot of the visited table, then merged
-  /// deterministically in frontier order, so the decision (and, on
-  /// refutations, every counter) is independent of the thread count.
-  /// Alternating search: the AND/OR nodes in the top `fork_depth` levels
-  /// of the proof tree run their children as isolated branch tasks,
-  /// speculatively in parallel, folded in child order — on untimed
-  /// searches, verdicts and all counters are bit-identical for any
-  /// thread count (a max_millis deadline is wall-clock, so timed runs
-  /// are schedule-dependent in both engines; exhaustion is still always
-  /// reported, never passed off as a refutation).
+  /// Ignored: both searches are sequential (kept for source compatibility).
   uint32_t num_threads = 1;
-
-  /// Alternating search only: how many levels of the AND/OR proof tree
-  /// fork their children as isolated branch tasks (the unit of
-  /// parallelism; also the granularity at which sibling subtrees stop
-  /// sharing memo tables — deeper forking exposes more parallelism but
-  /// duplicates more overlapping work). 0 = fully sequential machine.
-  /// The fork structure is fixed by this option alone, never by
-  /// num_threads, which is what keeps counters thread-count-independent.
-  uint32_t fork_depth = 1;
 
   /// Subsumption-based state pruning: discard a frontier state some
   /// already-visited (linear) or path-independently refuted (alternating)
@@ -110,13 +89,6 @@ struct ProofSearchOptions {
   /// per-search refuted-state index (path-independent entries are valid
   /// sweep-wide).
   SubsumptionIndex* shared_refuted = nullptr;
-
-  /// Persistent worker pool for the parallel linear frontier and the
-  /// alternating branch tasks, shared with the daemon's request handling.
-  /// When null and num_threads > 1, the search creates a private pool for
-  /// its own lifetime — one thread spawn per search instead of the former
-  /// one per frontier level.
-  WorkerPool* pool = nullptr;
 
   /// Optional registry counter handles (obs/metrics.h) the search
   /// flushes its end-of-search totals into — once, at completion; the

@@ -128,8 +128,8 @@ ProofSearchCache::Key ProofSearchCache::InternKey(const CanonicalState& state) {
 }
 
 bool ProofSearchCache::BuildKey(const CanonicalState& state, Key* out) const {
-  // Thread-local scratch: concurrent lookups (from the parallel frontier
-  // workers) must not share a member buffer.
+  // Thread-local scratch: concurrent lookups (from concurrent searches of
+  // one session) must not share a member buffer.
   static thread_local std::vector<uint64_t> chunk_scratch;
   out->clear();
   out->reserve(state.atoms.size());

@@ -121,13 +121,9 @@ class ProgramIndex {
 /// Thread safety: internally synchronized by one reader-writer lock, so
 /// whole *searches* can share the cache concurrently — several queries
 /// of one session probing and (at their ends) recording at once. The
-/// exact-match lookups, the stats-free subsumption probe (probe_stats
-/// supplied), and the size getters take the lock shared; every Record,
-/// the stats-mutating subsumption probe, MergeAltProbeStats, and
-/// InvalidateForDelta take it exclusive. Within one search the old
-/// fine-grained contract still matters for determinism (the parallel
-/// searches defer their records past the concurrent probing phase), but
-/// safety no longer depends on it. The one exception is `index()`: the
+/// exact-match lookups, the subsumption probes and the size getters take
+/// the lock shared; every Record and InvalidateForDelta take it
+/// exclusive. The one exception is `index()`: the
 /// returned reference is invalidated by InvalidateForDelta, so callers
 /// must externally exclude delta maintenance for as long as they hold
 /// it — the session layer does (queries hold the session data lock
@@ -158,34 +154,16 @@ class ProofSearchCache {
 
   /// Subsumption transfer over the recorded refutations: true iff some
   /// recorded refuted state with a covering bound maps homomorphically
-  /// into `state` (and has no more atoms). Without `probe_stats` the
-  /// probe updates the bank's own counters and takes the cache lock
-  /// exclusive; with a task-private `probe_stats` it is a pure read
-  /// under the shared lock — what the alternating search's concurrent
-  /// branch tasks use, merging the deltas back via MergeAltProbeStats
-  /// in a fixed order for determinism.
+  /// into `state` (and has no more atoms).
   bool LinearRefutedBySubsumption(const CanonicalState& state, size_t width,
                                   size_t max_chunk) const {
-    // Exclusive despite being a probe: without a task-private stats
-    // block, FindSubsumer mutates the bank's own counters.
-    base::WriterLock lock(&mutex_);
+    base::ReaderLock lock(&mutex_);
     return linear_refuted_states_.FindSubsumer(state, width, max_chunk) >= 0;
   }
-  bool AltRefutedBySubsumption(
-      const CanonicalState& state, size_t width, size_t max_chunk,
-      SubsumptionIndex::Stats* probe_stats = nullptr) const {
-    if (probe_stats != nullptr) {
-      base::ReaderLock lock(&mutex_);
-      return alt_refuted_states_.FindSubsumer(state, width, max_chunk,
-                                              INT64_MAX, probe_stats) >= 0;
-    }
-    base::WriterLock lock(&mutex_);
-    return alt_refuted_states_.FindSubsumer(state, width, max_chunk,
-                                            INT64_MAX, nullptr) >= 0;
-  }
-  void MergeAltProbeStats(const SubsumptionIndex::Stats& delta) {
-    base::WriterLock lock(&mutex_);
-    alt_refuted_states_.MergeStats(delta);
+  bool AltRefutedBySubsumption(const CanonicalState& state, size_t width,
+                               size_t max_chunk) const {
+    base::ReaderLock lock(&mutex_);
+    return alt_refuted_states_.FindSubsumer(state, width, max_chunk) >= 0;
   }
 
   /// What one InvalidateForDelta pass dropped (observability + tests).

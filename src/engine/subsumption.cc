@@ -78,32 +78,18 @@ int64_t SubsumptionIndex::Add(const CanonicalState& state, size_t width,
 
 int64_t SubsumptionIndex::FindSubsumer(const CanonicalState& state,
                                        size_t width, size_t chunk,
-                                       int64_t same_size_before,
-                                       Stats* probe_stats) const {
-  Stats& stats = probe_stats != nullptr ? *probe_stats : stats_;
+                                       int64_t same_size_before) const {
   if (entries_.empty() || state.atoms.empty()) return -1;
-  // The adaptive gate always counts the index's lifetime block on top of
-  // an external probe block: private blocks start at zero, and without
-  // the lifetime term every branch task of every search would re-pay the
-  // whole probation window on workloads the gate long since learned to
-  // skip. Deterministic: stats_ is frozen while external-block probes
-  // run (merges happen at end of search, single-threaded), so the sum
-  // depends only on the probing searcher's own query sequence.
-  uint64_t gate_checks = stats.hom_checks;
-  uint64_t gate_hits = stats.hits;
-  if (probe_stats != nullptr) {
-    gate_checks += stats_.hom_checks;
-    gate_hits += stats_.hits;
-  }
+  uint64_t gate_checks = stats_.hom_checks.load(std::memory_order_relaxed);
+  uint64_t gate_hits = stats_.hits.load(std::memory_order_relaxed);
   if (gate_checks >= kAdaptiveProbation &&
       gate_checks > gate_hits * kMaxChecksPerHit) {
-    ++stats.disabled_skips;
+    stats_.disabled_skips.fetch_add(1, std::memory_order_relaxed);
     return -1;
   }
-  ++stats.queries;
+  stats_.queries.fetch_add(1, std::memory_order_relaxed);
   uint64_t state_mask = MaskOf(state.atoms);
   uint64_t state_rigid = RigidMaskOf(state.atoms);
-  uint64_t checks = 0;
   // The subsumer's predicates are a subset of the state's, so its
   // min-predicate bucket is keyed by one of the state's predicates.
   // Distinct predicates only: consecutive canonical atoms share buckets.
@@ -117,35 +103,43 @@ int64_t SubsumptionIndex::FindSubsumer(const CanonicalState& state,
     last = a.predicate;
   }
   // Smallest layers first: the most general subsumers prune the most, so
-  // they get the capped hom-check budget.
-  size_t same_size_layer = state.atoms.size() - 1;
-  for (size_t layer = 0; layer <= same_size_layer; ++layer) {
-    for (PredicateId p : predicates) {
-      if (layer >= buckets_[p].size()) continue;
-      for (uint32_t id : buckets_[p][layer]) {
-        if (layer == same_size_layer &&
-            static_cast<int64_t>(id) >= same_size_before) {
-          continue;
-        }
-        const Entry& entry = entries_[id];
-        if (entry.suppressed != 0) continue;
-        if ((entry.mask & ~state_mask) != 0) continue;
-        if ((entry.rigid_mask & ~state_rigid) != 0) continue;
-        if (entry.width < width || entry.chunk < chunk) continue;
-        if (checks >= kMaxHomChecksPerQuery) {
-          ++stats.capped;
-          return -1;
-        }
-        ++checks;
-        ++stats.hom_checks;
-        if (HasStateHomomorphism(entry.atoms, state.atoms)) {
-          ++stats.hits;
-          return static_cast<int64_t>(id);
+  // they get the capped hom-check budget. The counters are bumped once
+  // per query, after the scan.
+  uint64_t checks = 0;
+  bool capped = false;
+  auto scan = [&]() -> int64_t {
+    size_t same_size_layer = state.atoms.size() - 1;
+    for (size_t layer = 0; layer <= same_size_layer; ++layer) {
+      for (PredicateId p : predicates) {
+        if (layer >= buckets_[p].size()) continue;
+        for (uint32_t id : buckets_[p][layer]) {
+          if (layer == same_size_layer &&
+              static_cast<int64_t>(id) >= same_size_before) {
+            continue;
+          }
+          const Entry& entry = entries_[id];
+          if (entry.suppressed != 0) continue;
+          if ((entry.mask & ~state_mask) != 0) continue;
+          if ((entry.rigid_mask & ~state_rigid) != 0) continue;
+          if (entry.width < width || entry.chunk < chunk) continue;
+          if (checks >= kMaxHomChecksPerQuery) {
+            capped = true;
+            return -1;
+          }
+          ++checks;
+          if (HasStateHomomorphism(entry.atoms, state.atoms)) {
+            return static_cast<int64_t>(id);
+          }
         }
       }
     }
-  }
-  return -1;
+    return -1;
+  };
+  int64_t found = scan();
+  stats_.hom_checks.fetch_add(checks, std::memory_order_relaxed);
+  if (found >= 0) stats_.hits.fetch_add(1, std::memory_order_relaxed);
+  if (capped) stats_.capped.fetch_add(1, std::memory_order_relaxed);
+  return found;
 }
 
 size_t SubsumptionIndex::InvalidateByPredicate(

@@ -24,17 +24,18 @@
 // subsumer only prunes a search exploring no more than the recording one.
 //
 // Thread safety: NOT internally synchronized — a SubsumptionIndex is
-// either owned by a single search (the per-search visited banks) or
-// embedded in a ProofSearchCache, whose reader-writer capability guards
-// it (the banks are GUARDED_BY the cache mutex, so clang -Wthread-safety
-// checks every access). Beware that FindSubsumer without a caller-private
-// `probe_stats` block mutates the mutable internal Stats: concurrent
-// probing REQUIRES a private stats block per prober (what the parallel
-// branch tasks do), or exclusive access.
+// either owned by a single search or sweep (the per-search visited banks,
+// the sweep-shared refutation bank) or embedded in a ProofSearchCache,
+// whose reader-writer capability guards it (the banks are GUARDED_BY the
+// cache mutex, so clang -Wthread-safety checks every access).
+// FindSubsumer only reads the entries and bumps relaxed-atomic counters,
+// so concurrent probes are safe as long as no Add, Suppress or
+// InvalidateByPredicate runs at the same time.
 
 #ifndef VADALOG_ENGINE_SUBSUMPTION_H_
 #define VADALOG_ENGINE_SUBSUMPTION_H_
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -51,22 +52,13 @@ class SubsumptionIndex {
   int64_t Add(const CanonicalState& state, size_t width, size_t chunk);
 
   struct Stats {
-    uint64_t queries = 0;
-    uint64_t hom_checks = 0;
-    uint64_t hits = 0;
-    uint64_t capped = 0;  // queries that hit the per-query hom-check cap
-    uint64_t disabled_skips = 0;  // queries skipped by the adaptive gate
-
-    /// Accumulates another counter block (the single definition of what
-    /// "merging stats" means — index-internal and searcher-private
-    /// blocks both go through here).
-    void MergeFrom(const Stats& delta) {
-      queries += delta.queries;
-      hom_checks += delta.hom_checks;
-      hits += delta.hits;
-      capped += delta.capped;
-      disabled_skips += delta.disabled_skips;
-    }
+    std::atomic<uint64_t> queries{0};
+    std::atomic<uint64_t> hom_checks{0};
+    std::atomic<uint64_t> hits{0};
+    // Queries that hit the per-query hom-check cap.
+    std::atomic<uint64_t> capped{0};
+    // Queries skipped by the adaptive gate.
+    std::atomic<uint64_t> disabled_skips{0};
   };
 
   /// Finds a registered state with a bound covering (width, chunk) and no
@@ -79,19 +71,8 @@ class SubsumptionIndex {
   /// drop an accepting subtree on the floor. Strictly smaller subsumers
   /// always count (the (size, id) measure strictly decreases along any
   /// pruning chain, so chains end at a state that is genuinely expanded).
-  ///
-  /// `probe_stats`, when non-null, replaces the index's internal counter
-  /// block for this query: the adaptive gate evaluates against it and all
-  /// increments go there. This is what makes concurrent read-only probing
-  /// sound AND deterministic — parallel branch tasks of the alternating
-  /// search each bring their own counter block (no data race on `stats_`,
-  /// and the gate's decisions depend only on that task's own, schedule-
-  /// independent query sequence), then merge the deltas back in a fixed
-  /// order via MergeStats. Concurrent probing additionally requires that
-  /// no Add/Suppress runs at the same time.
-  int64_t FindSubsumer(const CanonicalState& state, size_t width,
-                       size_t chunk, int64_t same_size_before = INT64_MAX,
-                       Stats* probe_stats = nullptr) const;
+  int64_t FindSubsumer(const CanonicalState& state, size_t width, size_t chunk,
+                       int64_t same_size_before = INT64_MAX) const;
 
   /// Marks an entry as covered by another subsumer, excluding it from
   /// further matching. Lossless: anything it subsumes, its own subsumer
@@ -113,13 +94,6 @@ class SubsumptionIndex {
   size_t size() const { return entries_.size(); }
 
   const Stats& stats() const { return stats_; }
-
-  /// Folds an externally-accumulated counter block (a FindSubsumer
-  /// `probe_stats` delta) into the internal one, so the long-lived
-  /// index's adaptive gate keeps learning across searches that probed it
-  /// with private blocks. Call from a single thread, in a deterministic
-  /// order.
-  void MergeStats(const Stats& delta) { stats_.MergeFrom(delta); }
 
   size_t ApproximateBytes() const;
 

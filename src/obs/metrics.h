@@ -24,10 +24,10 @@
 // series simply stops moving — the Prometheus model).
 //
 // This module is standard-library-only by design: it sits BELOW engine
-// and server in the dependency order (like server/worker_pool.h), so the
-// proof searches and the worker pool can carry handles. JSON rendering
-// of a Snapshot() lives in the server layer (server/session.h), keeping
-// obs/ free of the JSON dependency.
+// and server in the dependency order, so the proof searches and the
+// worker pool can carry handles. JSON rendering of a Snapshot() lives in
+// the server layer (server/session.h), keeping obs/ free of the JSON
+// dependency.
 
 #ifndef VADALOG_OBS_METRICS_H_
 #define VADALOG_OBS_METRICS_H_
@@ -50,10 +50,12 @@
 namespace vadalog {
 namespace obs {
 
-/// Shard count for Counter. 16 shards of one cache line each bound the
-/// per-counter footprint at 1 KiB while keeping 16-thread increment
-/// storms (the daemon's worker-count scale) off each other's lines.
-inline constexpr size_t kCounterShards = 16;
+/// Shard count for Counter. Increments come from the daemon's request
+/// workers (default workers=4; proof searches run no helper threads),
+/// so 4 shards of one cache line each keep them off each other's lines
+/// at a 256-byte per-counter footprint. More threads stay exact; they
+/// just share shards.
+inline constexpr size_t kCounterShards = 4;
 
 /// Histogram buckets: observation v lands in the first bucket with
 /// v <= 2^i (i = 0..kHistogramBuckets-2); the last bucket is +inf.

@@ -48,7 +48,6 @@ constexpr KeyDoc kKeyDocs[] = {
     {"tcp_port", "TCP port, 0 = ephemeral (0..65535)"},
     {"unix", "Unix-domain socket path, empty = disabled"},
     {"workers", "worker pool size (>= 1); thread budget = 1 loop + workers"},
-    {"search_threads", "default parallel-search threads per query (>= 1)"},
     {"cache_bytes", "per-session proof-cache + answer-memo byte cap"},
     {"max_inflight", "global in-flight request cap (>= 1)"},
     {"max_inflight_per_session", "per-session in-flight cap (>= 1)"},
@@ -86,11 +85,6 @@ bool ServerConfig::Set(std::string_view key, std::string_view value,
       return bad_value("a thread count in 1..1024");
     }
     workers = static_cast<size_t>(number);
-  } else if (key == "search_threads") {
-    if (!ParseUint(value, &number) || number == 0 || number > 64) {
-      return bad_value("a thread count in 1..64");
-    }
-    search_threads = static_cast<uint32_t>(number);
   } else if (key == "cache_bytes") {
     if (!ParseUint(value, &number)) return bad_value("a byte count");
     cache_byte_limit = static_cast<size_t>(number);

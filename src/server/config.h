@@ -1,13 +1,11 @@
 // ServerConfig: the one coherent knob surface for vadalogd. Every
 // runtime parameter of the daemon — listen endpoints, admission caps,
-// buffering limits, the wire-encoding allowlist, worker/search threads,
+// buffering limits, the wire-encoding allowlist, worker threads,
 // per-session cache sizing, event-loop backend — lives here as a flat
 // field with a stable string key, so the same struct backs
 //
 //   * `vadalogd --config KEY=VALUE` (repeatable; `--config list` prints
-//     the key table),
-//   * the deprecated per-knob flags (`--workers=N`, ... — still parsed
-//     for one release, with a stderr note pointing at --config), and
+//     the key table), and
 //   * in-process construction by tests and benches.
 //
 // Set() maps a KEY=VALUE pair onto its field with full validation;
@@ -37,13 +35,10 @@ struct ServerConfig {
   /// A stale socket file at the path is unlinked first.
   std::string unix_path;
 
-  /// Worker pool size (request execution + parallel search frontiers).
-  /// The daemon's entire thread budget is 1 event loop + this many
-  /// workers, independent of the connection count.
+  /// Worker pool size: requests execute concurrently, each proof search
+  /// sequentially on its worker. The daemon's entire thread budget is 1
+  /// event loop + this many workers, independent of the connection count.
   size_t workers = 4;
-
-  /// Default parallel-search threads per query ("threads" overrides).
-  uint32_t search_threads = 1;
 
   /// Generational eviction threshold for each session's proof cache and
   /// answer memo together.

@@ -175,33 +175,23 @@ bool ParseFields(const JsonValue& object, Request* request, Error* error) {
         return Fail(error, "EBADREQ",
                     "\"engine\" must be auto|chase|linear|alternating");
       }
-      // Budgets and thread counts: a present-but-malformed value (wrong
-      // type, negative, fractional, non-finite, or past 2^53) is a
-      // request error, not a silent fall-back to "unlimited" — a client
-      // that sent {"max_states": -1} almost certainly did not want an
-      // unbudgeted search.
+      // Budgets: a present-but-malformed value (wrong type, negative,
+      // fractional, non-finite, or past 2^53) is a request error, not a
+      // silent fall-back to "unlimited" — a client that sent
+      // {"max_states": -1} almost certainly did not want an unbudgeted
+      // search.
       struct UintSpec {
         const char* key;
         uint64_t* dest;
-        uint64_t max;
       };
-      uint64_t threads_wide = 0;
       const UintSpec specs[] = {
-          {"max_states", &request->max_states, UINT64_MAX},
-          {"max_millis", &request->max_millis, UINT64_MAX},
-          {"threads", &threads_wide, UINT32_MAX},
+          {"max_states", &request->max_states},
+          {"max_millis", &request->max_millis},
       };
       for (const UintSpec& spec : specs) {
-        uint64_t value = 0;
-        switch (object.TryGetUint(spec.key, &value)) {
+        switch (object.TryGetUint(spec.key, spec.dest)) {
           case JsonValue::UintField::kAbsent:
-            break;
           case JsonValue::UintField::kValid:
-            if (value > spec.max) {
-              return Fail(error, "EBADREQ",
-                          std::string("\"") + spec.key + "\" out of range");
-            }
-            *spec.dest = value;
             break;
           case JsonValue::UintField::kInvalid:
             return Fail(error, "EBADREQ",
@@ -209,7 +199,6 @@ bool ParseFields(const JsonValue& object, Request* request, Error* error) {
                             "\" must be a non-negative integer");
         }
       }
-      request->threads = static_cast<uint32_t>(threads_wide);
       const JsonValue* trace = object.Find("trace");
       if (trace != nullptr) {
         // Strict boolean, like the budgets: {"trace": "yes"} is a

@@ -11,8 +11,7 @@
 //                 session's loaded program text (analysis/lint.h)
 //   ADD_FACTS     session, facts (surface-syntax fact clauses)
 //   QUERY         session, query | query_index, [engine=auto],
-//                 [max_states=0], [max_millis=0], [threads=0],
-//                 [trace=false]
+//                 [max_states=0], [max_millis=0], [trace=false]
 //   EXPLAIN       session, query | query_index, answer (constant strings),
 //                 [trace=false]
 //   STATS         [session]
@@ -155,7 +154,6 @@ struct Request {
   std::string engine = "auto";
   uint64_t max_states = 0;
   uint64_t max_millis = 0;
-  uint32_t threads = 0;  // 0 = server default
 
   // QUERY / EXPLAIN: attach the span breakdown to the response body.
   // Wire field; must be a JSON boolean when present.

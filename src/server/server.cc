@@ -108,8 +108,6 @@ Server::Server(ServerConfig config)
       registry_([this] {
         SessionOptions session;
         session.cache_byte_limit = config_.cache_byte_limit;
-        session.search_threads = config_.search_threads;
-        session.pool = pool_.get();
         session.metrics = &metrics_;
         session.slow_log = &slow_log_;
         session.slow_query_micros = config_.slow_query_ms * 1000;

@@ -2,8 +2,7 @@
 // descriptor — the TCP (loopback) and Unix-domain listeners, all
 // accepted connections, and a self-pipe — feeding the negotiated wire
 // protocol into a SessionRegistry, with request *execution* forked onto
-// the shared WorkerPool (the same pool the parallel proof searches fork
-// their frontier levels onto).
+// the shared WorkerPool.
 //
 // Threading model: exactly 1 + workers threads, independent of the
 // connection count. The loop thread multiplexes all sockets through a

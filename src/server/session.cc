@@ -109,9 +109,6 @@ ReasonerOptions Session::BuildOptions(const Request& request) const {
   options.engine = EngineFromName(request.engine);
   options.proof.max_states = request.max_states;
   options.proof.max_millis = request.max_millis;
-  options.proof.num_threads =
-      request.threads != 0 ? request.threads : options_.search_threads;
-  options.proof.pool = options_.pool;
   // Wire the matching per-(session, engine) counter family; the search
   // flushes its result totals there once at completion. EXPLAIN always
   // runs the linear search regardless of request.engine.
@@ -332,8 +329,7 @@ protocol::Response Session::Query(const Request& request) {
       base::SingleFlight<SearchKey, SearchOutcome>::Call flight =
           searches_.Begin(SearchKey{request.query_index, request.query_text,
                                     request.engine, request.max_states,
-                                    request.max_millis,
-                                    options.proof.num_threads});
+                                    request.max_millis});
       if (flight.leader()) {
         if (!cache_mutex_.TryLockShared()) {
           waited = true;

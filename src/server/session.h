@@ -77,7 +77,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "server/protocol.h"
-#include "server/worker_pool.h"
 #include "vadalog/reasoner.h"
 
 namespace vadalog {
@@ -86,13 +85,6 @@ struct SessionOptions {
   /// Generational eviction threshold for the per-session proof cache and
   /// answer memo together.
   size_t cache_byte_limit = 64ull << 20;
-  /// Default worker threads per proof search — linear frontier levels
-  /// and alternating branch tasks alike; a QUERY's "threads" field
-  /// overrides it (the engines cap both at 64).
-  uint32_t search_threads = 1;
-  /// Pool the parallel searches fork onto (shared with request serving);
-  /// may be null (searches then spawn private pools when parallel).
-  WorkerPool* pool = nullptr;
   /// Metrics registry every session registers its counter families in
   /// (the daemon's one registry). May be null; the SessionRegistry then
   /// owns a private one, so handles always exist and the counting paths
@@ -204,7 +196,6 @@ class Session {
     std::string engine;
     uint64_t max_states = 0;
     uint64_t max_millis = 0;
-    uint32_t threads = 0;  // effective: the request's or the default
     auto operator<=>(const SearchKey&) const = default;
   };
   /// A search's result as its leader hands it to coalesced waiters.

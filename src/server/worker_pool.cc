@@ -1,36 +1,9 @@
 #include "server/worker_pool.h"
 
-#include <atomic>
-#include <memory>
-
 #include "base/mutex.h"
 #include "obs/metrics.h"
 
 namespace vadalog {
-namespace {
-
-/// Shared state of one ParallelInvoke fork. Helpers and the caller race
-/// for tickets; only ticket winners run `fn`. `done`/`cv` let the caller
-/// wait for exactly the helpers that won a ticket.
-///
-/// Revocation-handoff invariant (the reason no NO_THREAD_SAFETY_ANALYSIS
-/// escape is needed here): `tickets` and `done` are atomics, so the race
-/// between helpers claiming tickets and the caller revoking the rest is
-/// resolved by fetch_add alone — no capability guards them, and the
-/// analysis has nothing to mis-flag. The only lock, `mutex`, exists
-/// purely to pair each done-increment with the caller's predicate check
-/// so the notify cannot be lost; both sides take it in properly scoped
-/// blocks the analysis verifies as balanced.
-struct ForkState {
-  const std::function<void()>* fn = nullptr;
-  size_t total = 0;                 // helper tasks enqueued
-  std::atomic<size_t> tickets{0};   // claim counter (helpers + revocations)
-  std::atomic<size_t> done{0};      // helpers that finished running fn
-  base::Mutex mutex;
-  base::CondVar cv;
-};
-
-}  // namespace
 
 WorkerPool::WorkerPool(size_t num_threads) {
   if (num_threads == 0) num_threads = 1;
@@ -62,68 +35,12 @@ void WorkerPool::WorkerLoop() {
 void WorkerPool::Submit(std::function<void()> task) {
   {
     base::MutexLock lock(&mutex_);
-    ++stats_.submitted;
     queue_.push_back(std::move(task));
     if (queue_depth_ != nullptr) {
       queue_depth_->Set(static_cast<int64_t>(queue_.size()));
     }
   }
   cv_.NotifyOne();
-}
-
-void WorkerPool::ParallelInvoke(size_t extra_workers,
-                                const std::function<void()>& fn) {
-  if (extra_workers == 0) {
-    fn();
-    return;
-  }
-  auto state = std::make_shared<ForkState>();
-  state->fn = &fn;
-  state->total = extra_workers;
-  {
-    base::MutexLock lock(&mutex_);
-    ++stats_.forks;
-    for (size_t i = 0; i < extra_workers; ++i) {
-      // The task keeps the ForkState alive; `fn` itself is only borrowed,
-      // which is safe because a helper can hold a ticket only if it
-      // claimed one before the caller revoked the rest — and the caller
-      // does not return until every ticket holder is done.
-      queue_.push_back([state] {
-        if (state->tickets.fetch_add(1) < state->total) {
-          (*state->fn)();
-          {
-            // Empty critical section: pairs the done increment with the
-            // caller's predicate check so the notify cannot be lost.
-            base::MutexLock fork_lock(&state->mutex);
-            state->done.fetch_add(1);
-          }
-          state->cv.NotifyAll();
-        }
-      });
-    }
-    if (queue_depth_ != nullptr) {
-      queue_depth_->Set(static_cast<int64_t>(queue_.size()));
-    }
-  }
-  cv_.NotifyAll();
-
-  fn();  // the calling thread takes a share instead of idling
-
-  // Revoke every ticket not yet claimed: helpers still sitting in the
-  // queue (possibly behind long-running daemon requests) become no-ops,
-  // so the wait below only covers helpers that actually started.
-  size_t revoked = 0;
-  while (state->tickets.fetch_add(1) < state->total) ++revoked;
-  size_t started = state->total - revoked;
-  {
-    base::MutexLock fork_lock(&state->mutex);
-    while (state->done.load() < started) state->cv.Wait(state->mutex);
-  }
-  {
-    base::MutexLock lock(&mutex_);
-    stats_.fork_helpers += started;
-    stats_.fork_revoked += revoked;
-  }
 }
 
 void WorkerPool::Shutdown() {
@@ -137,11 +54,6 @@ void WorkerPool::Shutdown() {
     if (t.joinable()) t.join();
   }
   threads_.clear();
-}
-
-WorkerPool::Stats WorkerPool::stats() const {
-  base::MutexLock lock(&mutex_);
-  return stats_;
 }
 
 }  // namespace vadalog

@@ -1,28 +1,8 @@
-// A persistent worker pool with one shared FIFO work queue, serving two
-// callers at once:
-//
-//   * the reasoning daemon submits client-request handlers with Submit()
-//     (fire-and-forget; completion is tracked by the caller), and
-//   * the parallel linear BFS forks its per-level expansion onto the same
-//     threads with ParallelInvoke(), replacing the per-level
-//     std::thread spawn/join that previously cost a fresh create+join per
-//     frontier level (wasteful on searches with thousands of narrow
-//     levels).
-//
-// ParallelInvoke is deadlock-free by construction even when every pool
-// thread is busy (including when the caller itself runs on a pool thread,
-// as daemon queries do): each queued helper must claim a ticket before
-// running, and the calling thread — after taking its own share of the
-// work — claims every ticket still outstanding, so helpers that were
-// never scheduled become no-ops and are never waited for. The caller only
-// blocks on helpers that actually started, and those run to completion on
-// their own threads. The price is that a fully loaded pool degrades to
-// the caller doing all the work itself, which is exactly the single-
-// threaded fallback the search already has.
-//
-// This header is intentionally dependency-free (standard library only):
-// it lives in server/ next to its main consumer, but the engine links
-// against it too, below the session/server layers.
+// A persistent worker pool with one shared FIFO work queue: the
+// reasoning daemon submits client-request handlers with Submit()
+// (fire-and-forget; completion is tracked by the caller). Concurrent
+// requests are the daemon's only source of parallelism — each proof
+// search runs sequentially on the worker that serves its request.
 
 #ifndef VADALOG_SERVER_WORKER_POOL_H_
 #define VADALOG_SERVER_WORKER_POOL_H_
@@ -56,30 +36,13 @@ class WorkerPool {
   size_t num_threads() const { return threads_.size(); }
 
   /// Enqueues a task. The pool never rejects work; backpressure is the
-  /// caller's job (the server's admission control, the search's level
-  /// width). Must not be called after Shutdown().
+  /// caller's job (the server's admission control). Must not be called
+  /// after Shutdown().
   void Submit(std::function<void()> task);
-
-  /// Runs `fn` on the calling thread and on up to `extra_workers` pool
-  /// threads concurrently, returning when every run that started has
-  /// finished. `fn` must partition its own work (e.g. over a shared
-  /// atomic counter): invocations that the pool never got to are revoked,
-  /// not re-run, so `fn` being invoked fewer than 1 + extra_workers times
-  /// must still complete the whole job.
-  void ParallelInvoke(size_t extra_workers, const std::function<void()>& fn);
 
   /// Stops accepting work, runs what is already queued, joins all
   /// threads. Idempotent; called by the destructor.
   void Shutdown();
-
-  struct Stats {
-    uint64_t submitted = 0;       // Submit() tasks
-    uint64_t forks = 0;           // ParallelInvoke() calls
-    uint64_t fork_helpers = 0;    // helper runs that actually started
-    uint64_t fork_revoked = 0;    // helper runs revoked unstarted
-  };
-  /// Snapshot of the counters (taken under the queue lock).
-  Stats stats() const;
 
   /// Observability: when set, the gauge tracks queue_.size() — updated
   /// under the queue lock on every push/pop, so the cost is one relaxed
@@ -95,14 +58,13 @@ class WorkerPool {
  private:
   void WorkerLoop();
 
-  mutable base::Mutex mutex_;
+  base::Mutex mutex_;
   base::CondVar cv_;
   std::deque<std::function<void()>> queue_ GUARDED_BY(mutex_);
   /// Mutated only by the constructor (before any concurrency exists) and
   /// Shutdown (which the caller must not race with num_threads()).
   std::vector<std::thread> threads_;
   bool stop_ GUARDED_BY(mutex_) = false;
-  Stats stats_ GUARDED_BY(mutex_);
   obs::Gauge* queue_depth_ GUARDED_BY(mutex_) = nullptr;
 };
 

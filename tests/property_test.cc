@@ -160,14 +160,13 @@ constexpr uint64_t kPinnedWardedSeeds[] = {41, 173, 294, 447, 568,
 INSTANTIATE_TEST_SUITE_P(PinnedRegressions, WardedEngineEquivalence,
                          ::testing::ValuesIn(kPinnedWardedSeeds));
 
-// The tentpole's exactness fuzz: subsumption pruning, incremental
-// simplification and the parallel frontier must never change a certain
-// answer. Every configuration — pruning on/off, one or four threads,
-// linear and alternating — is swept against the chase on random warded ∩
-// PWL scenarios.
+// The tentpole's exactness fuzz: subsumption pruning and incremental
+// simplification must never change a certain answer. Every configuration
+// — pruning on/off, linear and alternating — is swept against the chase
+// on random warded ∩ PWL scenarios.
 class SearchConfigEquivalence : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(SearchConfigEquivalence, PrunedAndParallelSearchesMatchChase) {
+TEST_P(SearchConfigEquivalence, PrunedAndUnprunedSearchesMatchChase) {
   uint64_t seed = GetParam();
   Rng rng(seed * 7919 + 13);
   ScenarioSpec spec;
@@ -190,24 +189,16 @@ TEST_P(SearchConfigEquivalence, PrunedAndParallelSearchesMatchChase) {
     const char* name;
     bool alternating;
     bool subsumption;
-    uint32_t threads;
-    uint32_t fork_depth = 1;
   };
   constexpr Config kConfigs[] = {
-      {"linear/pruned", false, true, 1},
-      {"linear/unpruned", false, false, 1},
-      {"linear/pruned/4-threads", false, true, 4},
-      {"linear/unpruned/4-threads", false, false, 4},
-      {"alternating/pruned", true, true, 1},
-      {"alternating/unpruned", true, false, 1},
-      {"alternating/pruned/4-threads", true, true, 4},
-      {"alternating/pruned/fork2/4-threads", true, true, 4, 2},
+      {"linear/pruned", false, true},
+      {"linear/unpruned", false, false},
+      {"alternating/pruned", true, true},
+      {"alternating/unpruned", true, false},
   };
   for (const Config& config : kConfigs) {
     ProofSearchOptions options;
     options.subsumption = config.subsumption;
-    options.num_threads = config.threads;
-    options.fork_depth = config.fork_depth;
     CertainAnswerSet result = CertainAnswersViaSearchChecked(
         program, db, *query, config.alternating, options);
     EXPECT_TRUE(result.complete) << config.name << " seed " << seed;

@@ -98,7 +98,6 @@ TEST(ProtocolTest, ParsesQueryRequestWithBudgets) {
   EXPECT_EQ(request->engine, "linear");
   EXPECT_EQ(request->max_states, 100u);
   EXPECT_EQ(request->max_millis, 50u);
-  EXPECT_EQ(request->threads, 2u);
   EXPECT_EQ(id.AsNumber(), 7.0);
 }
 
@@ -112,9 +111,6 @@ TEST(ProtocolTest, MalformedBudgetsAreRejectedNotDefaulted) {
       R"({"cmd":"QUERY","session":"s","query_index":0,"max_states":2.5})",
       R"({"cmd":"QUERY","session":"s","query_index":0,"max_states":"50"})",
       R"({"cmd":"QUERY","session":"s","query_index":0,"max_millis":-3})",
-      R"({"cmd":"QUERY","session":"s","query_index":0,"threads":-2})",
-      R"({"cmd":"QUERY","session":"s","query_index":0,"threads":0.5})",
-      R"({"cmd":"QUERY","session":"s","query_index":0,"threads":5e9})",
       R"({"cmd":"QUERY","session":"s","query_index":-1})",
       R"({"cmd":"QUERY","session":"s","query_index":1e300})",
       R"({"cmd":"QUERY","session":"s","query_index":0.5})",
@@ -139,7 +135,6 @@ TEST(ProtocolTest, MalformedBudgetsAreRejectedNotDefaulted) {
   ASSERT_TRUE(absent.has_value()) << error.message;
   EXPECT_EQ(absent->max_states, 0u);
   EXPECT_EQ(absent->max_millis, 0u);
-  EXPECT_EQ(absent->threads, 0u);
 }
 
 TEST(ProtocolTest, StructuredErrorsCarryStableCodes) {
@@ -265,6 +260,26 @@ TEST(ProtocolTest, BudgetExhaustedQueryReportsIncomplete) {
   ASSERT_TRUE(response.GetBool("ok")) << response.Dump();
   EXPECT_FALSE(response.GetBool("complete", true));
   EXPECT_GT(response.GetUint("budget_exhausted_candidates"), 0u);
+}
+
+// "threads" is no longer a request field (proof searches are sequential);
+// like any unknown field it is ignored, so older clients keep working.
+TEST(ProtocolTest, RetiredThreadsFieldIsIgnored) {
+  SessionRegistry registry{SessionOptions{}};
+  ASSERT_TRUE(registry.HandleLine(LoadLine("s")).GetBool("ok"));
+  for (const char* engine : {"linear", "alternating"}) {
+    std::string query = R"({"cmd":"QUERY","session":"s","query_index":0,)";
+    query += R"("engine":")" + std::string(engine) + "\"";
+    JsonValue plain = registry.HandleLine(query + "}");
+    JsonValue threaded = registry.HandleLine(query + R"(,"threads":2})");
+    ASSERT_TRUE(plain.GetBool("ok")) << plain.Dump();
+    ASSERT_TRUE(threaded.GetBool("ok")) << threaded.Dump();
+    EXPECT_EQ(threaded.Find("answers")->Dump(), plain.Find("answers")->Dump())
+        << engine;
+    EXPECT_EQ(threaded.GetBool("complete"), plain.GetBool("complete"))
+        << engine;
+    EXPECT_EQ(plain.Find("answers")->Items().size(), 2u) << engine;
+  }
 }
 
 TEST(ProtocolTest, ExplainReturnsAProofForCertainAnswersOnly) {

@@ -40,11 +40,10 @@ namespace vadalog {
 /// runs — coalescing becomes deterministic instead of a timing race.
 struct SessionTestPeer {
   /// Callers waiting on the flight of pooled query 0 under the linear
-  /// engine with `threads` and `max_states` (max_millis unset).
-  static size_t Waiters(Session& session, uint32_t threads,
-                        uint64_t max_states) {
+  /// engine with `max_states` (max_millis unset).
+  static size_t Waiters(Session& session, uint64_t max_states) {
     return session.searches_.waiters(
-        Session::SearchKey{0, "", "linear", max_states, 0, threads});
+        Session::SearchKey{0, "", "linear", max_states, 0});
   }
 
   /// Takes `session`'s cache lock exclusively — a flight's leader then
@@ -873,11 +872,10 @@ BurstCounts RunHeldBurst(Server* server, const std::vector<std::string>& lines,
           after.coalesced - before.coalesced};
 }
 
-std::string BurstQuery(uint32_t threads, uint64_t max_states) {
+std::string BurstQuery(uint64_t max_states) {
   return R"({"cmd":"QUERY","session":"burst","query_index":0,)"
-         R"("engine":"linear","threads":)" +
-         std::to_string(threads) +
-         R"(,"max_states":)" + std::to_string(max_states) + "}";
+         R"("engine":"linear","max_states":)" +
+         std::to_string(max_states) + "}";
 }
 
 // A cold burst of one decision runs one search: the first query leads,
@@ -890,15 +888,13 @@ TEST(ServerTest, ColdBurstOfOneRefutationSharesTheSearch) {
   const std::vector<std::vector<std::string>> serial =
       DirectAnswers(kRefutationProgram, "linear")[0];
   ASSERT_TRUE(serial.empty());  // a refutation
-  for (uint32_t threads : {1u, 4u}) {
-    BurstCounts burst = RunHeldBurst(
-        server.get(), std::vector<std::string>(4, BurstQuery(threads, 0)),
-        serial, [threads](Session& session) {
-          return SessionTestPeer::Waiters(session, threads, 0) == 3;
-        });
-    EXPECT_EQ(burst.searches, 1u) << "threads=" << threads;
-    EXPECT_EQ(burst.coalesced, 3u) << "threads=" << threads;
-  }
+  BurstCounts burst = RunHeldBurst(
+      server.get(), std::vector<std::string>(4, BurstQuery(0)), serial,
+      [](Session& session) {
+        return SessionTestPeer::Waiters(session, 0) == 3;
+      });
+  EXPECT_EQ(burst.searches, 1u);
+  EXPECT_EQ(burst.coalesced, 3u);
   server->Stop();
 }
 
@@ -912,11 +908,11 @@ TEST(ServerTest, ColdBurstUnderTwoBudgetsRunsTwoSearches) {
       DirectAnswers(kRefutationProgram, "linear")[0];
   BurstCounts burst = RunHeldBurst(
       server.get(),
-      {BurstQuery(1, 1000000), BurstQuery(1, 1000001),
-       BurstQuery(1, 1000000), BurstQuery(1, 1000001)},
+      {BurstQuery(1000000), BurstQuery(1000001), BurstQuery(1000000),
+       BurstQuery(1000001)},
       serial, [](Session& session) {
-        return SessionTestPeer::Waiters(session, 1, 1000000) == 1 &&
-               SessionTestPeer::Waiters(session, 1, 1000001) == 1;
+        return SessionTestPeer::Waiters(session, 1000000) == 1 &&
+               SessionTestPeer::Waiters(session, 1000001) == 1;
       });
   EXPECT_EQ(burst.searches, 2u);
   EXPECT_EQ(burst.coalesced, 2u);

@@ -1,17 +1,12 @@
-// Tests for the persistent worker pool: fire-and-forget submission,
-// fork-join ParallelInvoke with ticket revocation, the deadlock-freedom
-// guarantee when every thread is busy, and the determinism of the
-// parallel linear BFS now that it forks onto the pool.
+// Tests for the persistent worker pool: fire-and-forget submission and
+// the drain-on-shutdown contract.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
-#include <vector>
 
-#include "ast/parser.h"
-#include "engine/linear_search.h"
 #include "server/worker_pool.h"
 
 namespace vadalog {
@@ -36,132 +31,13 @@ TEST(WorkerPoolTest, SubmitRunsTasks) {
   EXPECT_EQ(counter.load(), kTasks);
 }
 
-TEST(WorkerPoolTest, ParallelInvokeCompletesAllWork) {
-  WorkerPool pool(3);
-  constexpr size_t kItems = 10000;
-  std::vector<int> output(kItems, 0);
-  std::atomic<size_t> next{0};
-  pool.ParallelInvoke(3, [&] {
-    size_t i;
-    while ((i = next.fetch_add(1)) < kItems) output[i] = 1;
-  });
-  for (size_t i = 0; i < kItems; ++i) ASSERT_EQ(output[i], 1) << i;
-}
-
-TEST(WorkerPoolTest, ParallelInvokeSurvivesASaturatedPool) {
-  // Occupy the single pool thread with a long task, then fork: every
-  // helper must be revoked and the caller does all the work itself —
-  // this must terminate (the old spawn/join design could not deadlock
-  // here, so the pool must not regress that).
+TEST(WorkerPoolTest, ShutdownRunsQueuedTasks) {
   WorkerPool pool(1);
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool release = false;
-  pool.Submit([&] {
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [&] { return release; });
-  });
-  std::atomic<size_t> next{0};
-  std::atomic<int> runs{0};
-  pool.ParallelInvoke(8, [&] {
-    ++runs;
-    size_t i;
-    while ((i = next.fetch_add(1)) < 1000) {
-    }
-  });
-  EXPECT_GE(next.load(), 1000u);
-  EXPECT_GE(runs.load(), 1);  // at least the caller ran
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    release = true;
-  }
-  cv.notify_one();
-}
-
-TEST(WorkerPoolTest, NestedForkFromPoolThreadDoesNotDeadlock) {
-  // A request handler running *on* the pool forks the parallel search
-  // onto the same pool — the daemon's steady state. With one thread the
-  // inner fork's helpers can never be scheduled; revocation must let the
-  // inner caller finish alone.
-  WorkerPool pool(1);
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool done = false;
-  size_t inner_total = 0;
-  pool.Submit([&] {
-    std::atomic<size_t> next{0};
-    pool.ParallelInvoke(4, [&] {
-      size_t i;
-      while ((i = next.fetch_add(1)) < 500) {
-      }
-    });
-    std::lock_guard<std::mutex> lock(mutex);
-    inner_total = next.load();
-    done = true;
-    cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lock(mutex);
-  cv.wait(lock, [&] { return done; });
-  EXPECT_GE(inner_total, 500u);
-}
-
-TEST(WorkerPoolTest, StatsCountForksAndRevocations) {
-  WorkerPool pool(2);
-  std::atomic<size_t> next{0};
-  pool.ParallelInvoke(2, [&] {
-    size_t i;
-    while ((i = next.fetch_add(1)) < 64) {
-    }
-  });
-  WorkerPool::Stats stats = pool.stats();
-  EXPECT_EQ(stats.forks, 1u);
-  EXPECT_EQ(stats.fork_helpers + stats.fork_revoked, 2u);
-}
-
-/// The parallel search must stay bit-identical across thread counts with
-/// the pool plumbed in — the determinism contract the per-level
-/// spawn/join version established (a completed refutation's counters
-/// are scheduling-independent).
-TEST(WorkerPoolTest, PooledSearchIsBitIdenticalAcrossThreadCounts) {
-  ParseResult parsed = ParseProgram(R"(
-    t(X, Y) :- e(X, Y).
-    t(X, Z) :- e(X, Y), t(Y, Z).
-    e(a, b).  e(b, c).  e(c, d).  e(d, e1).  e(e1, f).
-  )");
-  ASSERT_TRUE(parsed.ok()) << parsed.error;
-  Program program = std::move(*parsed.program);
-  NormalizeToSingleHead(&program, nullptr);
-  Instance db = DatabaseFromFacts(program.facts());
-  ConjunctiveQuery query;
-  query.output = {Term::Variable(0)};
-  query.atoms = {Atom(program.symbols().FindPredicate("t"),
-                      {program.symbols().InternConstant("f"),
-                       Term::Variable(0)})};
-  // t(f, X) has no answers: the search runs a full refutation for any
-  // candidate, the regime where every counter must be deterministic.
-  std::vector<Term> candidate = {program.symbols().InternConstant("a")};
-
-  ProofSearchResult baseline;
-  for (uint32_t threads : {1u, 2u, 4u}) {
-    WorkerPool pool(threads);
-    ProofSearchOptions options;
-    options.num_threads = threads;
-    options.pool = &pool;
-    ProofSearchResult result =
-        LinearProofSearch(program, db, query, candidate, options);
-    EXPECT_FALSE(result.accepted);
-    if (threads == 1) {
-      baseline = result;
-      continue;
-    }
-    EXPECT_EQ(result.states_expanded, baseline.states_expanded) << threads;
-    EXPECT_EQ(result.states_visited, baseline.states_visited) << threads;
-    EXPECT_EQ(result.resolution_edges, baseline.resolution_edges) << threads;
-    EXPECT_EQ(result.drop_edges, baseline.drop_edges) << threads;
-    EXPECT_EQ(result.subsumed_discarded, baseline.subsumed_discarded)
-        << threads;
-    EXPECT_EQ(result.states_retired, baseline.states_retired) << threads;
-  }
+  std::atomic<int> counter{0};
+  for (int i = 0; i < 50; ++i) pool.Submit([&] { counter.fetch_add(1); });
+  pool.Shutdown();
+  EXPECT_EQ(counter.load(), 50);
+  EXPECT_EQ(pool.num_threads(), 0u);
 }
 
 }  // namespace

@@ -3,8 +3,6 @@
 // Usage:
 //   vadalog_cli [options] <program-file>
 //     --engine=auto|chase|linear|alternating   decision/enumeration engine
-//     --search-threads=N                       parallel frontier workers
-//                                              for the linear search
 //     --no-subsumption                         disable subsumption-based
 //                                              state pruning
 //     --analyze                                print the fragment analysis
@@ -43,7 +41,7 @@ namespace {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--engine=auto|chase|linear|alternating] "
-               "[--search-threads=N] [--no-subsumption] "
+               "[--no-subsumption] "
                "[--analyze] [--lint] [--explain] [--dot-chase] "
                "<program-file>\n",
                argv0);
@@ -60,7 +58,6 @@ int main(int argc, char** argv) {
   bool explain = false;
   bool dot_chase = false;
   EngineChoice engine = EngineChoice::kAuto;
-  uint32_t search_threads = 1;
   bool subsumption = true;
 
   for (int i = 1; i < argc; ++i) {
@@ -78,10 +75,6 @@ int main(int argc, char** argv) {
       explain = true;
     } else if (std::strcmp(arg, "--dot-chase") == 0) {
       dot_chase = true;
-    } else if (std::strncmp(arg, "--search-threads=", 17) == 0) {
-      int parsed_threads = std::atoi(arg + 17);
-      if (parsed_threads < 1) return Usage(argv[0]);
-      search_threads = static_cast<uint32_t>(parsed_threads);
     } else if (std::strcmp(arg, "--no-subsumption") == 0) {
       subsumption = false;
     } else if (std::strncmp(arg, "--engine=", 9) == 0) {
@@ -151,7 +144,6 @@ int main(int argc, char** argv) {
 
   ReasonerOptions options;
   options.engine = engine;
-  options.proof.num_threads = search_threads;
   options.proof.subsumption = subsumption;
   const auto& queries = reasoner->program().queries();
   if (queries.empty()) {

@@ -93,7 +93,7 @@ int Usage(const char* argv0) {
                "usage: %s (--connect=tcp:HOST:PORT | --connect=unix:PATH | "
                "--serve)\n"
                "          [--encoding=json|binary] [--hello] [--metrics]\n"
-               "          [--roundtrip=FILE.vada [--engine=E] [--threads=N] "
+               "          [--roundtrip=FILE.vada [--engine=E] "
                "[--clients=N] "
                "[--repeat=N] [--trace]]\n",
                argv0);
@@ -362,9 +362,8 @@ bool CheckTrace(const JsonValue& response, std::string* error) {
 /// not, which is what makes the total comparable to the server's
 /// vadalog_session_queries_total series.
 bool RunClientThread(const Endpoint& endpoint, const std::string& session,
-                     const std::string& engine, uint32_t threads,
-                     size_t num_queries, int repeat, bool trace,
-                     std::atomic<uint64_t>* served,
+                     const std::string& engine, size_t num_queries, int repeat,
+                     bool trace, std::atomic<uint64_t>* served,
                      const std::vector<std::vector<std::vector<std::string>>>&
                          expected) {
   std::string error;
@@ -379,9 +378,6 @@ bool RunClientThread(const Endpoint& endpoint, const std::string& session,
                             EscapeJson(session) +
                             ",\"query_index\":" + std::to_string(q) +
                             ",\"engine\":" + EscapeJson(engine);
-      if (threads != 0) {
-        request += ",\"threads\":" + std::to_string(threads);
-      }
       if (trace) request += ",\"trace\":true";
       request += "}";
       while (true) {
@@ -433,8 +429,8 @@ bool RunClientThread(const Endpoint& endpoint, const std::string& session,
 }
 
 int RunRoundTrip(const Endpoint& endpoint, const std::string& path,
-                 const std::string& engine, uint32_t threads, int clients,
-                 int repeat, bool trace) {
+                 const std::string& engine, int clients, int repeat,
+                 bool trace) {
   std::ifstream file(path);
   if (!file) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
@@ -489,8 +485,8 @@ int RunRoundTrip(const Endpoint& endpoint, const std::string& path,
   std::vector<std::thread> client_threads;
   for (int c = 0; c < clients; ++c) {
     client_threads.emplace_back([&] {
-      if (!RunClientThread(endpoint, session, engine, threads,
-                           num_queries, repeat, trace, &served, expected)) {
+      if (!RunClientThread(endpoint, session, engine, num_queries, repeat,
+                           trace, &served, expected)) {
         failures.fetch_add(1);
       }
     });
@@ -660,7 +656,6 @@ int main(int argc, char** argv) {
   bool trace = false;
   std::string roundtrip_path;
   std::string engine = "auto";
-  uint32_t search_threads = 0;
   int clients = 1;
   int repeat = 1;
 
@@ -708,10 +703,6 @@ int main(int argc, char** argv) {
           engine != "alternating") {
         return Usage(argv[0]);
       }
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      int parsed = std::atoi(arg + 10);
-      if (parsed < 0 || parsed > 64) return Usage(argv[0]);
-      search_threads = static_cast<uint32_t>(parsed);
     } else if (std::strncmp(arg, "--clients=", 10) == 0) {
       clients = std::atoi(arg + 10);
       if (clients < 1 || clients > 1024) return Usage(argv[0]);
@@ -747,8 +738,8 @@ int main(int argc, char** argv) {
   } else if (roundtrip_path.empty()) {
     status = RunRaw(endpoint);
   } else {
-    status = RunRoundTrip(endpoint, roundtrip_path, engine, search_threads,
-                          clients, repeat, trace);
+    status = RunRoundTrip(endpoint, roundtrip_path, engine, clients, repeat,
+                          trace);
   }
   if (server != nullptr) server->Stop();
   return status;

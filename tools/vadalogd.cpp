@@ -14,14 +14,6 @@
 //                             use this with --config tcp_port=0)
 //     --version
 //
-// Deprecated spellings (one release of grace, each noted once on
-// stderr; they are exact aliases for --config):
-//     --tcp-port=N ~ tcp_port, --no-tcp ~ tcp=false, --unix=PATH ~ unix,
-//     --workers=N, --search-threads=N ~ search_threads,
-//     --max-inflight=N ~ max_inflight,
-//     --max-inflight-per-session=N ~ max_inflight_per_session,
-//     --cache-bytes=N ~ cache_bytes
-//
 // SIGINT/SIGTERM trigger a graceful shutdown: stop accepting, finish
 // in-flight requests, exit 0.
 
@@ -85,20 +77,6 @@ bool ApplyConfig(ServerConfig* config, const std::string& pair) {
   return true;
 }
 
-/// Deprecated flag bridge: one warning per old spelling, then the exact
-/// --config equivalent.
-bool ApplyDeprecated(ServerConfig* config, const char* flag,
-                     const std::string& key, const std::string& value) {
-  obs::LogWarn("%s is deprecated; use --config %s=%s", flag, key.c_str(),
-               value.c_str());
-  std::string error;
-  if (!config->Set(key, value, &error)) {
-    obs::LogError("%s", error.c_str());
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -127,38 +105,6 @@ int main(int argc, char** argv) {
         return 0;
       }
       if (!ApplyConfig(&config, pair)) return 2;
-    } else if (std::strncmp(arg, "--tcp-port=", 11) == 0) {
-      if (!ApplyDeprecated(&config, "--tcp-port", "tcp_port", arg + 11)) {
-        return 2;
-      }
-    } else if (std::strcmp(arg, "--no-tcp") == 0) {
-      if (!ApplyDeprecated(&config, "--no-tcp", "tcp", "false")) return 2;
-    } else if (std::strncmp(arg, "--unix=", 7) == 0) {
-      if (!ApplyDeprecated(&config, "--unix", "unix", arg + 7)) return 2;
-    } else if (std::strncmp(arg, "--workers=", 10) == 0) {
-      if (!ApplyDeprecated(&config, "--workers", "workers", arg + 10)) {
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--search-threads=", 17) == 0) {
-      if (!ApplyDeprecated(&config, "--search-threads", "search_threads",
-                           arg + 17)) {
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--max-inflight=", 15) == 0) {
-      if (!ApplyDeprecated(&config, "--max-inflight", "max_inflight",
-                           arg + 15)) {
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--max-inflight-per-session=", 27) == 0) {
-      if (!ApplyDeprecated(&config, "--max-inflight-per-session",
-                           "max_inflight_per_session", arg + 27)) {
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--cache-bytes=", 14) == 0) {
-      if (!ApplyDeprecated(&config, "--cache-bytes", "cache_bytes",
-                           arg + 14)) {
-        return 2;
-      }
     } else if (std::strcmp(arg, "--print-port") == 0) {
       print_port = true;
     } else if (std::strcmp(arg, "--load") == 0 && i + 1 < argc) {
