@@ -37,11 +37,6 @@ struct KeyHash {
   }
 };
 
-struct Trigger {
-  size_t tgd_index;
-  Substitution h;
-};
-
 }  // namespace
 
 ChaseResult RunChase(const Program& program, const Instance& database,
@@ -57,6 +52,11 @@ ChaseResult RunChase(const Program& program, const Instance& database,
     return result;
   }
 
+  // Derivation depths (one atom copy per atom, one body image per
+  // trigger) are needed only to enforce `max_depth` or to record
+  // provenance; the plain chase skips that work.
+  const bool track_depth =
+      options.max_depth != 0 || options.record_provenance;
   std::unordered_set<std::vector<uint64_t>, KeyHash> summaries;
   std::unordered_map<Atom, uint32_t, AtomHash> depth_of;
 
@@ -64,7 +64,7 @@ ChaseResult RunChase(const Program& program, const Instance& database,
   for (const Atom& fact : database.AllAtoms()) {
     if (instance.Insert(fact)) {
       delta.push_back(fact);
-      depth_of.emplace(fact, 0);
+      if (track_depth) depth_of.emplace(fact, 0);
       summaries.insert(IsomorphismKey(fact));
     }
   }
@@ -84,133 +84,93 @@ ChaseResult RunChase(const Program& program, const Instance& database,
     for (size_t tgd_index = 0; tgd_index < program.tgds().size() && !stop;
          ++tgd_index) {
       const Tgd& tgd = program.tgds()[tgd_index];
-      for (size_t anchor = 0; anchor < tgd.body.size() && !stop; ++anchor) {
-        const Atom& anchor_pattern = tgd.body[anchor];
-        // The body atoms the anchored match completes against the full
-        // instance: fixed per (rule, anchor), so built once for the delta.
-        std::vector<Atom> rest;
-        rest.reserve(tgd.body.size() - 1);
-        for (size_t i = 0; i < tgd.body.size(); ++i) {
-          if (i != anchor) rest.push_back(tgd.body[i]);
-        }
-        for (const Atom& delta_atom : delta) {
-          if (stop) break;
-          if (delta_atom.predicate != anchor_pattern.predicate) continue;
-          // Bind the anchor pattern against the delta atom.
-          Substitution seed;
-          bool consistent = true;
-          for (size_t i = 0; i < anchor_pattern.args.size(); ++i) {
-            Term pattern = ApplySubstitution(seed, anchor_pattern.args[i]);
-            if (pattern.is_rigid()) {
-              if (pattern != delta_atom.args[i]) {
-                consistent = false;
-                break;
-              }
-            } else {
-              seed.emplace(pattern, delta_atom.args[i]);
-            }
+      auto apply = [&](const Substitution& h) {
+        // Depth of the step: 1 + max depth of the matched body atoms.
+        uint32_t depth = 0;
+        std::vector<Atom> parents;
+        if (track_depth) {
+          parents.reserve(tgd.body.size());
+          for (const Atom& b : tgd.body) {
+            Atom image = ApplySubstitution(h, b);
+            auto it = depth_of.find(image);
+            uint32_t d = it == depth_of.end() ? 0 : it->second;
+            depth = std::max(depth, d);
+            if (options.record_provenance) parents.push_back(image);
           }
-          if (!consistent) continue;
+          depth += 1;
+          if (options.max_depth != 0 && depth > options.max_depth) {
+            ++result.steps_skipped_depth;
+            return true;
+          }
+        }
 
-          // Matching must not run concurrently with insertions (relation
-          // vectors may reallocate): buffer the triggers, apply after.
-          std::vector<Substitution> triggers;
-          ForEachHomomorphism(rest, instance, seed,
-                              [&triggers](const Substitution& h) {
-                                triggers.push_back(h);
-                                return true;
-                              });
-          for (const Substitution& h : triggers) {
-            if (stop) break;
-            // Depth of the step: 1 + max depth of the matched body atoms.
-            uint32_t depth = 0;
-            std::vector<Atom> parents;
-            parents.reserve(tgd.body.size());
-            for (const Atom& b : tgd.body) {
-              Atom image = ApplySubstitution(h, b);
-              auto it = depth_of.find(image);
-              uint32_t d = it == depth_of.end() ? 0 : it->second;
-              depth = std::max(depth, d);
-              if (options.record_provenance) parents.push_back(image);
-            }
-            depth += 1;
-            if (options.max_depth != 0 && depth > options.max_depth) {
-              ++result.steps_skipped_depth;
-              continue;
-            }
+        // Restricted chase: skip if the head is already satisfied by
+        // extending h on the frontier.
+        std::vector<Atom> head_pattern = ApplySubstitution(h, tgd.head);
+        if (options.restricted && HasHomomorphism(head_pattern, instance)) {
+          ++result.steps_skipped_satisfied;
+          return true;
+        }
 
-            // Restricted chase: skip if the head is already satisfied by
-            // extending h on the frontier.
-            std::vector<Atom> head_pattern =
-                ApplySubstitution(h, tgd.head);
-            if (options.restricted &&
-                HasHomomorphism(head_pattern, instance)) {
-              ++result.steps_skipped_satisfied;
-              continue;
-            }
+        // Instantiate existential variables with fresh nulls.
+        Substitution fresh;
+        std::vector<Atom> generated = head_pattern;
+        for (Atom& g : generated) {
+          for (Term& t : g.args) {
+            if (!t.is_variable()) continue;
+            auto [it, inserted] =
+                fresh.try_emplace(t, Term::Null(next_null));
+            if (inserted) ++next_null;
+            t = it->second;
+          }
+        }
 
-            // Instantiate existential variables with fresh nulls.
-            Substitution fresh;
-            std::vector<Atom> generated = head_pattern;
-            for (Atom& g : generated) {
-              for (Term& t : g.args) {
-                if (!t.is_variable()) continue;
-                auto [it, inserted] =
-                    fresh.try_emplace(t, Term::Null(next_null));
-                if (inserted) ++next_null;
-                t = it->second;
-              }
-            }
-
-            // Vadalog termination control: skip the step when every
-            // generated atom is isomorphic to an existing one.
-            if (options.isomorphism_termination) {
-              bool all_redundant = true;
-              for (const Atom& g : generated) {
-                if (summaries.count(IsomorphismKey(g)) == 0) {
-                  all_redundant = false;
-                  break;
-                }
-              }
-              if (all_redundant) {
-                ++result.steps_skipped_isomorphic;
-                continue;
-              }
-            }
-
-            bool inserted_any = false;
-            for (const Atom& g : generated) {
-              if (instance.Insert(g)) {
-                inserted_any = true;
-                next_delta.push_back(g);
-                depth_of.emplace(g, depth);
-                summaries.insert(IsomorphismKey(g));
-                if (options.record_provenance) {
-                  result.derivations.push_back(
-                      ChaseDerivation{g, tgd_index, parents, depth});
-                }
-              }
-            }
-            if (inserted_any) {
-              result.nulls_created += fresh.size();
-              ++result.steps_applied;
-            }
-
-            if (options.max_steps != 0 &&
-                result.steps_applied >= options.max_steps) {
-              result.stop_reason = ChaseStopReason::kStepBudget;
-              stop = true;
-              break;
-            }
-            if (options.max_atoms != 0 &&
-                instance.size() >= options.max_atoms) {
-              result.stop_reason = ChaseStopReason::kAtomBudget;
-              stop = true;
+        // Vadalog termination control: skip the step when every
+        // generated atom is isomorphic to an existing one.
+        if (options.isomorphism_termination) {
+          bool all_redundant = true;
+          for (const Atom& g : generated) {
+            if (summaries.count(IsomorphismKey(g)) == 0) {
+              all_redundant = false;
               break;
             }
           }
+          if (all_redundant) {
+            ++result.steps_skipped_isomorphic;
+            return true;
+          }
         }
-      }
+
+        bool inserted_any = false;
+        for (const Atom& g : generated) {
+          if (instance.Insert(g)) {
+            inserted_any = true;
+            next_delta.push_back(g);
+            if (track_depth) depth_of.emplace(g, depth);
+            summaries.insert(IsomorphismKey(g));
+            if (options.record_provenance) {
+              result.derivations.push_back(
+                  ChaseDerivation{g, tgd_index, parents, depth});
+            }
+          }
+        }
+        if (inserted_any) {
+          result.nulls_created += fresh.size();
+          ++result.steps_applied;
+        }
+
+        if (options.max_steps != 0 &&
+            result.steps_applied >= options.max_steps) {
+          result.stop_reason = ChaseStopReason::kStepBudget;
+          stop = true;
+        } else if (options.max_atoms != 0 &&
+                   instance.size() >= options.max_atoms) {
+          result.stop_reason = ChaseStopReason::kAtomBudget;
+          stop = true;
+        }
+        return !stop;
+      };
+      ForEachDeltaTrigger(tgd.body, delta, instance, apply);
     }
 
     result.peak_instance_bytes =

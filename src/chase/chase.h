@@ -82,7 +82,10 @@ struct ChaseResult {
 };
 
 /// Runs the chase of `database` under the TGDs of `program` using
-/// semi-naive (delta-driven) round evaluation.
+/// semi-naive (delta-driven) round evaluation: each round drives
+/// ForEachDeltaTrigger (storage/homomorphism.h), the anchored delta-join
+/// routine EvaluateDatalog's delta rounds also use, and applies every
+/// trigger it delivers as one chase step.
 ChaseResult RunChase(const Program& program, const Instance& database,
                      const ChaseOptions& options = {});
 

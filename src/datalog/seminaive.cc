@@ -10,50 +10,6 @@
 namespace vadalog {
 namespace {
 
-/// Applies one rule against all triggers anchored on `delta_atom` bound at
-/// body position `anchor`; inserts derived heads, appending new atoms to
-/// `out_delta`. Returns the number of new tuples.
-uint64_t FireAnchored(const Tgd& rule, size_t anchor, const Atom& delta_atom,
-                      Instance* instance, std::vector<Atom>* out_delta) {
-  const Atom& pattern = rule.body[anchor];
-  if (pattern.predicate != delta_atom.predicate) return 0;
-  Substitution seed;
-  for (size_t i = 0; i < pattern.args.size(); ++i) {
-    Term t = ApplySubstitution(seed, pattern.args[i]);
-    if (t.is_rigid()) {
-      if (t != delta_atom.args[i]) return 0;
-    } else {
-      seed.emplace(t, delta_atom.args[i]);
-    }
-  }
-  std::vector<Atom> rest;
-  rest.reserve(rule.body.size() - 1);
-  for (size_t i = 0; i < rule.body.size(); ++i) {
-    if (i != anchor) rest.push_back(rule.body[i]);
-  }
-  // Buffer derivations: inserting during enumeration would invalidate the
-  // relation storage the matcher is iterating.
-  std::vector<Atom> derived;
-  ForEachHomomorphism(rest, *instance, seed, [&](const Substitution& h) {
-    // Stratified negation: negated atoms are ground under h (safety) and
-    // their predicates live in strictly earlier strata, so absence in the
-    // current instance is definitive.
-    for (const Atom& negated : rule.negative_body) {
-      if (instance->Contains(ApplySubstitution(h, negated))) return true;
-    }
-    derived.push_back(ApplySubstitution(h, rule.head[0]));
-    return true;
-  });
-  uint64_t produced = 0;
-  for (Atom& atom : derived) {
-    if (instance->Insert(atom)) {
-      ++produced;
-      out_delta->push_back(std::move(atom));
-    }
-  }
-  return produced;
-}
-
 /// Applies one rule against every trigger in the instance (naive mode).
 uint64_t FireFull(const Tgd& rule, Instance* instance,
                   std::vector<Atom>* out_delta) {
@@ -147,12 +103,25 @@ DatalogResult EvaluateDatalog(const Program& program, const Instance& database,
           std::vector<Atom> next_delta;
           for (size_t r : rules) {
             const Tgd& rule = program.tgds()[r];
-            for (size_t anchor = 0; anchor < rule.body.size(); ++anchor) {
-              for (const Atom& d : delta) {
-                result.rule_applications +=
-                    FireAnchored(rule, anchor, d, &instance, &next_delta);
+            auto apply = [&](const Substitution& h) {
+              // Stratified negation: negated atoms are ground under h
+              // (safety) and their predicates live in strictly earlier
+              // strata, which this stratum never inserts into, so absence
+              // at apply time is definitive.
+              for (const Atom& negated : rule.negative_body) {
+                if (instance.Contains(ApplySubstitution(h, negated))) {
+                  return true;
+                }
               }
-            }
+              Atom head = ApplySubstitution(h, rule.head[0]);
+              if (instance.Insert(head)) {
+                ++result.rule_applications;
+                next_delta.push_back(std::move(head));
+              }
+              return true;
+            };
+            result.triggers +=
+                ForEachDeltaTrigger(rule.body, delta, instance, apply);
           }
           ++result.rounds;
           note_peak();

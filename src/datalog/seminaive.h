@@ -12,6 +12,12 @@
 //     boundaries of the PWL strata, which lets the evaluator discard
 //     relations that no later stratum reads;
 //   * the target of the tiling reduction when run on solvable instances.
+//
+// The delta rounds drive ForEachDeltaTrigger (storage/homomorphism.h), the
+// one anchored delta-join routine, which RunChase also uses; only the
+// per-trigger step differs (negation check and head projection here, the
+// existential step there). The seed round and naive mode match whole rule
+// bodies with ForEachHomomorphism.
 
 #ifndef VADALOG_DATALOG_SEMINAIVE_H_
 #define VADALOG_DATALOG_SEMINAIVE_H_
@@ -49,6 +55,11 @@ struct DatalogOptions {
 struct DatalogResult {
   Instance instance;
   uint64_t rule_applications = 0;  // successful (new-tuple) derivations
+  /// Rule-body matches the delta rounds enumerated (ForEachDeltaTrigger's
+  /// count; the seed round and naive mode are not counted). Unlike
+  /// `rule_applications` this counts redundant re-derivations, so it is
+  /// what join ordering and linearization save.
+  uint64_t triggers = 0;
   uint64_t rounds = 0;
   size_t peak_instance_bytes = 0;
   bool reached_fixpoint = true;

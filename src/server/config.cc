@@ -54,7 +54,6 @@ constexpr KeyDoc kKeyDocs[] = {
     {"max_connections", "open client connection cap (>= 1)"},
     {"max_line_bytes", "request line length cap (>= 1024)"},
     {"max_outbuf_bytes", "per-connection unsent response cap (>= 4096)"},
-    {"recv_timeout_ms", "obsolete under the event loop; accepted, ignored"},
     {"encodings", "comma-separated negotiable encodings (json,binary)"},
     {"poller", "event backend: epoll (Linux) or poll (portable)"},
     {"log_level", "stderr log level: debug, info, warn, error, off"},
@@ -113,11 +112,6 @@ bool ServerConfig::Set(std::string_view key, std::string_view value,
       return bad_value("a byte count >= 4096");
     }
     max_outbuf_bytes = static_cast<size_t>(number);
-  } else if (key == "recv_timeout_ms") {
-    if (!ParseUint(value, &number) || number > UINT32_MAX) {
-      return bad_value("a millisecond count");
-    }
-    recv_timeout_ms = static_cast<uint32_t>(number);
   } else if (key == "encodings") {
     std::vector<protocol::Encoding> parsed;
     size_t start = 0;

@@ -63,13 +63,6 @@ struct ServerConfig {
   /// without bound (its responses are queued, never blocking the loop).
   size_t max_outbuf_bytes = 64ull << 20;
 
-  /// Obsolete under the event loop (kept so old flag surfaces and
-  /// configs keep parsing): blocking per-connection reads needed a
-  /// receive timeout to bound shutdown drains; the event loop's readers
-  /// never block, idle connections cost nothing, and partial requests
-  /// survive indefinitely. Accepted and ignored.
-  uint32_t recv_timeout_ms = 0;
-
   /// Response encodings a HELLO may negotiate, in the order offered.
   /// JSON is always usable (it is the pre-negotiation default);
   /// removing "binary" confines every connection to v1-style lines.

@@ -127,6 +127,67 @@ bool ForEachHomomorphism(const std::vector<Atom>& atoms,
   return MatchFrom(atoms, order, 0, instance, &subst, callback);
 }
 
+uint64_t ForEachDeltaTrigger(std::span<const Atom> body,
+                             std::span<const Atom> delta,
+                             const Instance& instance,
+                             const HomomorphismCallback& apply) {
+  // Every match binds exactly the body's variables, so a match is buffered
+  // as one flat row of their images and replayed into one reused
+  // substitution: no hash-map copy per match. `slot[i]` points at the
+  // image of vars[i] in `h` (map nodes never move).
+  std::vector<Term> vars;
+  for (const Atom& atom : body) {
+    for (Term t : atom.args) {
+      if (t.is_variable() && std::find(vars.begin(), vars.end(), t) ==
+                                 vars.end()) {
+        vars.push_back(t);
+      }
+    }
+  }
+  Substitution h;
+  std::vector<Term*> slot;
+  for (Term v : vars) slot.push_back(&h[v]);
+
+  uint64_t enumerated = 0;
+  std::vector<Term> rows;
+  std::vector<Term> newly_bound;
+  std::vector<Atom> rest;
+  for (size_t anchor = 0; anchor < body.size(); ++anchor) {
+    const Atom& pattern = body[anchor];
+    // The body atoms the anchored match completes against the full
+    // instance: fixed per anchor, so built once for the whole delta.
+    rest.clear();
+    for (size_t i = 0; i < body.size(); ++i) {
+      if (i != anchor) rest.push_back(body[i]);
+    }
+    for (const Atom& delta_atom : delta) {
+      if (delta_atom.predicate != pattern.predicate) continue;
+      // Bind the anchor pattern against the delta atom.
+      Substitution seed;
+      newly_bound.clear();
+      if (!TryExtend(pattern, delta_atom.args, &seed, &newly_bound)) continue;
+
+      // Matching must not run concurrently with insertions (relation
+      // storage may reallocate): buffer the matches, apply after.
+      rows.clear();
+      size_t matches = 0;
+      ForEachHomomorphism(rest, instance, seed, [&](const Substitution& m) {
+        for (Term v : vars) rows.push_back(m.at(v));
+        ++matches;
+        return true;
+      });
+      enumerated += matches;
+      for (size_t k = 0; k < matches; ++k) {
+        for (size_t i = 0; i < vars.size(); ++i) {
+          *slot[i] = rows[k * vars.size() + i];
+        }
+        if (!apply(h)) return enumerated;
+      }
+    }
+  }
+  return enumerated;
+}
+
 std::vector<std::vector<Term>> EvaluateQuery(const ConjunctiveQuery& query,
                                              const Instance& instance,
                                              bool certain_only) {

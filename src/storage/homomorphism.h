@@ -6,6 +6,7 @@
 #ifndef VADALOG_STORAGE_HOMOMORPHISM_H_
 #define VADALOG_STORAGE_HOMOMORPHISM_H_
 
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
@@ -30,6 +31,22 @@ using HomomorphismCallback = std::function<bool(const Substitution&)>;
 bool ForEachHomomorphism(const std::vector<Atom>& atoms,
                          const Instance& instance, const Substitution& seed,
                          const HomomorphismCallback& callback);
+
+/// Anchored semi-naive trigger enumeration for one rule body: the one
+/// bottom-up join routine behind RunChase and the delta rounds of
+/// EvaluateDatalog. For each body position, in body order, and each atom
+/// of `delta` with that position's predicate, in delta order, binds the
+/// position's pattern against the delta atom and completes the match of
+/// the other body atoms against `instance`. The matches of one delta atom
+/// are buffered, then handed to `apply` one at a time, so `apply` may
+/// insert into `instance` (never into `delta`): later delta atoms see its
+/// insertions. A match touching k delta atoms is delivered k times.
+/// Returning false from `apply` stops the enumeration. Returns the number
+/// of matches enumerated (those buffered when `apply` stopped included).
+uint64_t ForEachDeltaTrigger(std::span<const Atom> body,
+                             std::span<const Atom> delta,
+                             const Instance& instance,
+                             const HomomorphismCallback& apply);
 
 /// True if at least one homomorphism h with h(atoms) ⊆ instance exists —
 /// exactly when ForEachHomomorphism (empty seed) finds a match. Same

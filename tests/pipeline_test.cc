@@ -1,13 +1,19 @@
-// Tests for the streaming operator network (Section 7 (3) architecture):
-// individual operators, plan construction, and fixpoint equivalence with
-// the semi-naive evaluator.
+// Tests for the one bottom-up join routine, ForEachDeltaTrigger
+// (storage/homomorphism.h): its delivery order, early stop and match
+// count, and the agreement of its two drivers — RunChase and the delta
+// rounds of EvaluateDatalog. (The ctest entry keeps the name
+// `pipeline_test`.)
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "ast/parser.h"
+#include "chase/chase.h"
 #include "datalog/seminaive.h"
-#include "pipeline/executor.h"
-#include "pipeline/operators.h"
 #include "storage/homomorphism.h"
 
 namespace vadalog {
@@ -24,125 +30,122 @@ struct TestEnv {
     db = DatabaseFromFacts(program.facts());
   }
 
-  Atom Pattern(const char* pred, std::vector<Term> args) {
-    return Atom(program.symbols().FindPredicate(pred), std::move(args));
+  Atom Fact(const char* pred, std::vector<const char*> args) {
+    std::vector<Term> terms;
+    for (const char* a : args) {
+      terms.push_back(program.symbols().InternConstant(a));
+    }
+    return Atom(program.symbols().FindPredicate(pred), std::move(terms));
   }
-  Term Const(const char* name) {
-    return program.symbols().InternConstant(name);
+
+  /// The image of `atoms` under `h`, rendered as text.
+  std::string Render(const Substitution& h, const std::vector<Atom>& atoms) {
+    return AtomsToString(ApplySubstitution(h, atoms), program.symbols());
   }
 };
 
-size_t Drain(Operator* op) {
-  op->Open();
-  size_t count = 0;
-  while (op->Next().has_value()) ++count;
-  return count;
+std::set<std::vector<Term>> Tuples(const Instance& instance, PredicateId p) {
+  std::set<std::vector<Term>> tuples;
+  const Relation* rel = instance.RelationFor(p);
+  for (size_t row = 0; rel != nullptr && row < rel->size(); ++row) {
+    tuples.insert(rel->TupleAt(row));
+  }
+  return tuples;
 }
 
-TEST(OperatorTest, ScanEmitsAllRows) {
-  TestEnv s("e(a, b). e(b, c). e(a, c).");
-  ScanOperator scan(&s.db,
-                    s.Pattern("e", {Term::Variable(0), Term::Variable(1)}));
-  EXPECT_EQ(Drain(&scan), 3u);
+// Anchors run in body order; within an anchor, delta atoms in delta order
+// (not instance order). A match touching two delta atoms comes once per
+// anchor it can be bound at.
+TEST(DeltaTriggerTest, DeliversTriggersInAnchorThenDeltaOrder) {
+  TestEnv s(R"(
+    p(X, Z) :- e(X, Y), e(Y, Z).
+    e(a, b). e(b, c). e(c, d).
+  )");
+  const std::vector<Atom>& body = s.program.tgds()[0].body;
+  std::vector<Atom> delta = {s.Fact("e", {"b", "c"}),
+                             s.Fact("e", {"a", "b"})};
+  std::vector<std::string> delivered;
+  uint64_t matches =
+      ForEachDeltaTrigger(body, delta, s.db, [&](const Substitution& h) {
+        delivered.push_back(s.Render(h, body));
+        return true;
+      });
+  EXPECT_EQ(delivered, (std::vector<std::string>{
+                           "e(b, c), e(c, d)",  // anchor 0 on e(b, c)
+                           "e(a, b), e(b, c)",  // anchor 0 on e(a, b)
+                           "e(a, b), e(b, c)",  // anchor 1 on e(b, c)
+                       }));
+  EXPECT_EQ(matches, 3u);
 }
 
-TEST(OperatorTest, ScanFiltersOnRigidPositions) {
-  TestEnv s("e(a, b). e(b, c). e(a, c).");
-  ScanOperator scan(&s.db,
-                    s.Pattern("e", {s.Const("a"), Term::Variable(0)}));
-  EXPECT_EQ(Drain(&scan), 2u);
+TEST(DeltaTriggerTest, FalseFromApplyStops) {
+  TestEnv s(R"(
+    p(X, Z) :- e(X, Y), e(Y, Z).
+    e(a, b). e(b, c). e(c, d).
+  )");
+  const std::vector<Atom>& body = s.program.tgds()[0].body;
+  std::vector<Atom> delta = {s.Fact("e", {"a", "b"}), s.Fact("e", {"b", "c"}),
+                             s.Fact("e", {"c", "d"})};
+  auto count_until = [&](size_t stop_at, size_t* calls) {
+    return ForEachDeltaTrigger(body, delta, s.db, [&](const Substitution&) {
+      return ++*calls < stop_at;
+    });
+  };
+  size_t calls = 0;
+  // Anchor 0 finds one match on e(a, b) and one on e(b, c); anchor 1 one
+  // on e(b, c) and one on e(c, d).
+  EXPECT_EQ(count_until(100, &calls), 4u);
+  EXPECT_EQ(calls, 4u);
+  calls = 0;
+  // Stopping at the e(b, c) match of anchor 0 enumerates nothing after it.
+  EXPECT_EQ(count_until(2, &calls), 2u);
+  EXPECT_EQ(calls, 2u);
 }
 
-TEST(OperatorTest, ScanRepeatedVariable) {
-  TestEnv s("e(a, a). e(a, b).");
-  ScanOperator scan(&s.db,
-                    s.Pattern("e", {Term::Variable(0), Term::Variable(0)}));
-  EXPECT_EQ(Drain(&scan), 1u);
+// A self-join over the whole instance as delta: pairs of edges that
+// share a source. The five full matches — (b,b), (b,c), (c,b), (c,c) out
+// of a and (c,c) out of b — are each found once per anchor, and the f
+// atom anchors nothing.
+TEST(DeltaTriggerTest, MatchCountIsExactOnSelfJoin) {
+  TestEnv s(R"(
+    p(Y, Z) :- e(X, Y), e(X, Z).
+    e(a, b). e(a, c). e(b, c). f(a).
+  )");
+  const std::vector<Atom>& body = s.program.tgds()[0].body;
+  std::vector<Atom> delta = s.db.AllAtoms();
+  std::multiset<std::string> delivered;
+  uint64_t matches =
+      ForEachDeltaTrigger(body, delta, s.db, [&](const Substitution& h) {
+        delivered.insert(s.Render(h, body));
+        return true;
+      });
+  EXPECT_EQ(matches, 10u);
+  EXPECT_EQ(delivered, (std::multiset<std::string>{
+                           "e(a, b), e(a, b)", "e(a, b), e(a, b)",
+                           "e(a, b), e(a, c)", "e(a, b), e(a, c)",
+                           "e(a, c), e(a, b)", "e(a, c), e(a, b)",
+                           "e(a, c), e(a, c)", "e(a, c), e(a, c)",
+                           "e(b, c), e(b, c)", "e(b, c), e(b, c)"}));
 }
 
-TEST(OperatorTest, JoinChains) {
-  TestEnv s("e(a, b). e(b, c). e(c, d).");
-  auto scan = std::make_unique<ScanOperator>(
-      &s.db, s.Pattern("e", {Term::Variable(0), Term::Variable(1)}));
-  JoinOperator join(std::move(scan), &s.db,
-                    s.Pattern("e", {Term::Variable(1), Term::Variable(2)}));
-  EXPECT_EQ(Drain(&join), 2u);  // a-b-c, b-c-d
-}
-
-TEST(OperatorTest, JoinFullScanWhenUnbound) {
-  TestEnv s("e(a, b). f(x).");
-  auto scan = std::make_unique<ScanOperator>(
-      &s.db, s.Pattern("e", {Term::Variable(0), Term::Variable(1)}));
-  // Right pattern shares no variable: cross product via full scan.
-  JoinOperator join(std::move(scan), &s.db,
-                    s.Pattern("f", {Term::Variable(2)}));
-  EXPECT_EQ(Drain(&join), 1u);
-}
-
-TEST(OperatorTest, AntiJoinFilters) {
-  TestEnv s("node(a). node(b). blocked(a).");
-  auto scan = std::make_unique<ScanOperator>(
-      &s.db, s.Pattern("node", {Term::Variable(0)}));
-  AntiJoinOperator anti(std::move(scan), &s.db,
-                        s.Pattern("blocked", {Term::Variable(0)}));
-  anti.Open();
-  std::optional<Binding> binding = anti.Next();
-  ASSERT_TRUE(binding.has_value());
-  EXPECT_EQ(binding->at(Term::Variable(0)), s.Const("b"));
-  EXPECT_FALSE(anti.Next().has_value());
-}
-
-TEST(OperatorTest, ProjectAndDedup) {
-  TestEnv s("e(a, b). e(a, c).");
-  auto scan = std::make_unique<ScanOperator>(
-      &s.db, s.Pattern("e", {Term::Variable(0), Term::Variable(1)}));
-  auto project = std::make_unique<ProjectOperator>(
-      std::move(scan), std::vector<Term>{Term::Variable(0)});
-  DedupOperator dedup(std::move(project));
-  EXPECT_EQ(Drain(&dedup), 1u);  // both rows project to X0 = a
-}
-
-TEST(OperatorTest, MaterializeReplays) {
-  TestEnv s("e(a, b). e(b, c).");
-  auto scan = std::make_unique<ScanOperator>(
-      &s.db, s.Pattern("e", {Term::Variable(0), Term::Variable(1)}));
-  MaterializeOperator mat(std::move(scan));
-  EXPECT_EQ(Drain(&mat), 2u);
-  EXPECT_EQ(mat.buffered_rows(), 2u);
-  // Replays without re-pulling upstream.
-  EXPECT_EQ(Drain(&mat), 2u);
-}
-
-TEST(OperatorTest, ExplainPlanRendersTree) {
-  TestEnv s("e(a, b).");
-  auto scan = std::make_unique<ScanOperator>(
-      &s.db, s.Pattern("e", {Term::Variable(0), Term::Variable(1)}));
-  auto join = std::make_unique<JoinOperator>(
-      std::move(scan), &s.db,
-      s.Pattern("e", {Term::Variable(1), Term::Variable(2)}));
-  DedupOperator root(std::move(join));
-  std::string plan = ExplainPlan(root, s.program.symbols());
-  EXPECT_NE(plan.find("Dedup"), std::string::npos);
-  EXPECT_NE(plan.find("IndexJoin"), std::string::npos);
-  EXPECT_NE(plan.find("Scan"), std::string::npos);
-}
-
-TEST(PipelineTest, MatchesSeminaiveOnTc) {
+TEST(DeltaTriggerTest, ChaseAndDatalogAgreeOnTransitiveClosure) {
   TestEnv s(R"(
     t(X, Y) :- e(X, Y).
     t(X, Z) :- e(X, Y), t(Y, Z).
     e(a, b). e(b, c). e(c, a). e(c, d).
   )");
-  PipelineResult pipeline = ExecutePipeline(s.program, s.db);
-  DatalogResult seminaive = EvaluateDatalog(s.program, s.db);
-  EXPECT_TRUE(pipeline.reached_fixpoint);
-  EXPECT_EQ(pipeline.instance.size(), seminaive.instance.size());
+  ChaseResult chase = RunChase(s.program, s.db);
+  DatalogResult datalog = EvaluateDatalog(s.program, s.db);
+  ASSERT_TRUE(chase.Saturated());
+  ASSERT_TRUE(datalog.reached_fixpoint);
   PredicateId t = s.program.symbols().FindPredicate("t");
-  EXPECT_EQ(pipeline.instance.RelationFor(t)->size(),
-            seminaive.instance.RelationFor(t)->size());
+  EXPECT_EQ(Tuples(chase.instance, t), Tuples(datalog.instance, t));
+  EXPECT_EQ(Tuples(datalog.instance, t).size(), 12u);  // {a,b,c} x {a,b,c,d}
+  EXPECT_EQ(chase.instance.size(), datalog.instance.size());
+  EXPECT_GT(datalog.triggers, 0u);
 }
 
-TEST(PipelineTest, MatchesSeminaiveWithNegation) {
+TEST(DeltaTriggerTest, ChaseRefusesNegationThatDatalogServes) {
   TestEnv s(R"(
     reach(X, Y) :- edge(X, Y).
     reach(X, Z) :- reach(X, Y), edge(Y, Z).
@@ -150,63 +153,21 @@ TEST(PipelineTest, MatchesSeminaiveWithNegation) {
     edge(a, b). edge(b, c).
     node(a). node(b). node(c).
   )");
-  PipelineResult pipeline = ExecutePipeline(s.program, s.db);
-  DatalogResult seminaive = EvaluateDatalog(s.program, s.db);
-  PredicateId unreachable =
-      s.program.symbols().FindPredicate("unreachable");
-  ASSERT_NE(pipeline.instance.RelationFor(unreachable), nullptr);
-  EXPECT_EQ(pipeline.instance.RelationFor(unreachable)->size(),
-            seminaive.instance.RelationFor(unreachable)->size());
-}
+  ChaseResult chase = RunChase(s.program, s.db);
+  EXPECT_EQ(chase.stop_reason, ChaseStopReason::kUnsupported);
+  EXPECT_TRUE(chase.instance.empty());
 
-TEST(PipelineTest, RefusesUnstratifiedNegation) {
-  TestEnv s(R"(
-    p(X) :- dom(X), not q(X).
-    q(X) :- dom(X), not p(X).
-    dom(a).
-  )");
-  PipelineResult result = ExecutePipeline(s.program, s.db);
-  EXPECT_FALSE(result.stratification_ok);
-}
-
-TEST(PipelineTest, SamplePlanShowsRecursiveAnchor) {
-  TestEnv s(R"(
-    t(X, Y) :- e(X, Y).
-    t(X, Z) :- e(X, Y), t(Y, Z).
-    e(a, b).
-  )");
-  PipelineResult result = ExecutePipeline(s.program, s.db);
-  // The delta anchor of the recursive rule is the t-atom (Section 7 (2)).
-  EXPECT_NE(result.sample_plan.find("DeltaScan[t("), std::string::npos)
-      << result.sample_plan;
-}
-
-TEST(PipelineTest, MaterializedOutputsSameFixpoint) {
-  TestEnv s(R"(
-    t(X, Y) :- e(X, Y).
-    t(X, Z) :- e(X, Y), t(Y, Z).
-    e(a, b). e(b, c). e(c, d).
-  )");
-  PipelineOptions options;
-  options.materialize_rule_outputs = true;
-  PipelineResult with = ExecutePipeline(s.program, s.db, options);
-  PipelineResult without = ExecutePipeline(s.program, s.db);
-  EXPECT_EQ(with.instance.size(), without.instance.size());
-}
-
-TEST(PipelineTest, AnchorOrderAblation) {
-  TestEnv s(R"(
-    t(X, Y) :- e(X, Y).
-    t(X, Z) :- e(X, Y), t(Y, Z).
-    e(a, b). e(b, c). e(c, d). e(d, f).
-  )");
-  PipelineOptions biased;
-  PipelineOptions unbiased;
-  unbiased.recursive_operand_first = false;
-  PipelineResult r1 = ExecutePipeline(s.program, s.db, biased);
-  PipelineResult r2 = ExecutePipeline(s.program, s.db, unbiased);
-  // Same fixpoint either way; the bias affects only plan shape.
-  EXPECT_EQ(r1.instance.size(), r2.instance.size());
+  DatalogResult datalog = EvaluateDatalog(s.program, s.db);
+  ASSERT_TRUE(datalog.reached_fixpoint);
+  PredicateId unreachable = s.program.symbols().FindPredicate("unreachable");
+  // reach = {ab, bc, ac}; the other 6 of the 9 node pairs are unreachable.
+  std::set<std::vector<Term>> expected;
+  for (auto [x, y] : std::vector<std::pair<const char*, const char*>>{
+           {"a", "a"}, {"b", "a"}, {"b", "b"},
+           {"c", "a"}, {"c", "b"}, {"c", "c"}}) {
+    expected.insert(s.Fact("unreachable", {x, y}).args);
+  }
+  EXPECT_EQ(Tuples(datalog.instance, unreachable), expected);
 }
 
 }  // namespace

@@ -463,12 +463,11 @@ TEST(ServerTest, RecvChunkReportsTimeoutAsRetryNotClose) {
   ::close(pair[0]);
 }
 
-// End-to-end: with SO_RCVTIMEO armed on accepted sockets, idle pauses
-// and mid-request pauses longer than the timeout must not cost the
-// connection or the buffered request prefix.
+// End-to-end: the event loop's readers never block, so idle pauses and
+// mid-request pauses must not cost the connection or the buffered
+// request prefix.
 TEST(ServerTest, RecvTimeoutKeepsSlowConnectionsAndPartialRequests) {
   ServerConfig options;
-  options.recv_timeout_ms = 20;
   std::unique_ptr<Server> server = StartServer(options);
 
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -515,6 +514,18 @@ TEST(ServerTest, RecvTimeoutKeepsSlowConnectionsAndPartialRequests) {
 
   ::close(fd);
   server->Stop();
+}
+
+// `recv_timeout_ms` configured nothing the event loop reads: it is an
+// unknown key like any other and `--config list` does not advertise it.
+TEST(ServerTest, RecvTimeoutIsNotAConfigKey) {
+  ServerConfig config;
+  std::string err;
+  EXPECT_FALSE(config.Set("recv_timeout_ms", "20", &err));
+  EXPECT_EQ(err,
+            "unknown config key \"recv_timeout_ms\" (try --config list)");
+  EXPECT_EQ(ServerConfig::DescribeKeys().find("recv_timeout_ms"),
+            std::string::npos);
 }
 
 TEST(ServerTest, UnixSocketEndpointServes) {

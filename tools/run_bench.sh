@@ -30,7 +30,7 @@ done
 EXPLICIT_BENCHES=1
 if [[ ${#BENCHES[@]} -eq 0 ]]; then
   EXPLICIT_BENCHES=0
-  BENCHES=(bench_micro bench_rewriting bench_pipeline bench_combined
+  BENCHES=(bench_micro bench_rewriting bench_combined
            bench_recursion_profile bench_tiling bench_ablation
            bench_linearize bench_owl2ql bench_search_cache bench_server
            bench_space bench_streaming bench_warded)
