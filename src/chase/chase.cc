@@ -54,7 +54,8 @@ ChaseResult RunChase(const Program& program, const Instance& database,
 
   // Derivation depths (one atom copy per atom, one body image per
   // trigger) are needed only to enforce `max_depth` or to record
-  // provenance; the plain chase skips that work.
+  // provenance; the plain chase skips that work. Likewise the isomorphism
+  // keys of the atoms are kept only for the isomorphism check.
   const bool track_depth =
       options.max_depth != 0 || options.record_provenance;
   std::unordered_set<std::vector<uint64_t>, KeyHash> summaries;
@@ -65,7 +66,9 @@ ChaseResult RunChase(const Program& program, const Instance& database,
     if (instance.Insert(fact)) {
       delta.push_back(fact);
       if (track_depth) depth_of.emplace(fact, 0);
-      summaries.insert(IsomorphismKey(fact));
+      if (options.isomorphism_termination) {
+        summaries.insert(IsomorphismKey(fact));
+      }
     }
   }
 
@@ -147,7 +150,9 @@ ChaseResult RunChase(const Program& program, const Instance& database,
             inserted_any = true;
             next_delta.push_back(g);
             if (track_depth) depth_of.emplace(g, depth);
-            summaries.insert(IsomorphismKey(g));
+            if (options.isomorphism_termination) {
+              summaries.insert(IsomorphismKey(g));
+            }
             if (options.record_provenance) {
               result.derivations.push_back(
                   ChaseDerivation{g, tgd_index, parents, depth});

@@ -262,13 +262,13 @@ class Searcher {
       child->dirty.assign(child->atoms.size(), 0);
       return true;
     }
-    // Match-and-drop children. The homomorphisms were materialized whole
-    // at expansion (ForEachHomomorphism is callback-driven, so a lazy
-    // cursor would mean re-implementing its matching semantics): on a
-    // child that proves early this pays a full row scan the recursive
-    // engine skipped, but refutations — the expensive case — enumerate
-    // everything either way. The list is freed as soon as it is drained
-    // so deep proofs don't pin one hom list per live frame.
+    // Match-and-drop children. The homomorphisms were copied out whole at
+    // expansion (ForEachHomomorphism enumerates through a callback and
+    // refills one substitution per match): when a child proves early this
+    // pays for matches no child uses, but refutations — the expensive
+    // case — enumerate everything either way. The list is freed as soon
+    // as it is drained so deep proofs don't pin one hom list per live
+    // frame.
     if (f->next_child < f->homs.size()) {
       const Substitution& h = f->homs[f->next_child++];
       child->atoms = ApplySubstitution(h, f->rest);

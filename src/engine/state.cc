@@ -1,7 +1,6 @@
 #include "engine/state.h"
 
 #include <algorithm>
-#include <functional>
 #include <span>
 #include <unordered_map>
 
@@ -11,83 +10,39 @@
 namespace vadalog {
 namespace {
 
-/// Renaming context for one encoding pass: variables always rename;
-/// nulls rename only in extended (sentinel) mode.
-struct RankMaps {
-  bool rename_nulls = false;
-  std::unordered_map<Term, uint64_t> var_rank;
-  std::unordered_map<Term, uint64_t> null_rank;
+constexpr uint32_t kRigid = 0xffffffffu;     // argument is not renameable
+constexpr uint32_t kUnranked = 0xffffffffu;  // term has no canonical rank yet
+
+/// One occurrence of a renameable term: the term (its bits in the first
+/// pass, its dense id when refining), the occurrence's code, and the
+/// argument slot it sits in.
+struct Occurrence {
+  uint64_t term;
+  uint64_t code;
+  uint32_t arg;
 };
 
-// Encoded argument. Kind tags: constants/nulls keep their packed bits
-// (tags 0/1); canonical variables use the unused tag 3; renamed nulls use
-// tag 1 with a rank (safe: in sentinel mode no raw null bits are emitted).
-uint64_t EncodeArg(Term t, RankMaps* ranks) {
-  if (t.is_constant()) return t.bits();
-  if (t.is_null()) {
-    if (!ranks->rename_nulls) return t.bits();
-    auto [it, inserted] =
-        ranks->null_rank.try_emplace(t, ranks->null_rank.size());
-    return (uint64_t{1} << 62) | it->second;
-  }
-  auto [it, inserted] = ranks->var_rank.try_emplace(t, ranks->var_rank.size());
-  return (uint64_t{3} << 62) | it->second;
-}
+/// Rank state to rewind to: the `touched` size and both rank counters.
+struct RankMark {
+  size_t touched;
+  uint32_t next_var;
+  uint32_t next_null;
+};
 
-/// Encodes the atoms in the given order, ranking variables (and, in
-/// sentinel mode, nulls) by first occurrence.
-std::vector<uint64_t> EncodeOrder(const std::vector<Atom>& atoms,
-                                  const std::vector<size_t>& order,
-                                  bool rename_nulls) {
-  std::vector<uint64_t> enc;
-  size_t words = 0;
-  for (const Atom& a : atoms) words += 1 + a.args.size();
-  enc.reserve(words);
-  RankMaps ranks;
-  ranks.rename_nulls = rename_nulls;
-  for (size_t idx : order) {
-    const Atom& a = atoms[idx];
-    enc.push_back((uint64_t{2} << 62) | a.predicate);
-    for (Term t : a.args) enc.push_back(EncodeArg(t, &ranks));
-  }
-  return enc;
-}
-
-/// Variable-invariant key of an atom: predicate, constants verbatim,
-/// renameable terms abstracted to kind + intra-atom first-occurrence index
-/// + a refinement color from the global occurrence profile.
-std::vector<uint64_t> InvariantKey(
-    const Atom& atom, bool rename_nulls,
-    const std::unordered_map<Term, uint64_t>& term_color) {
-  std::vector<uint64_t> key;
-  key.push_back(atom.predicate);
-  std::unordered_map<Term, uint64_t> local_rank;
-  for (Term t : atom.args) {
-    bool renameable = t.is_variable() || (rename_nulls && t.is_null());
-    if (!renameable) {
-      key.push_back(t.bits());
-      continue;
-    }
-    auto [it, inserted] = local_rank.try_emplace(t, local_rank.size());
-    uint64_t kind_tag = t.is_variable() ? 3 : 1;
-    key.push_back((kind_tag << 62) | it->second);
-    auto color = term_color.find(t);
-    key.push_back(color == term_color.end() ? 0 : color->second);
-  }
-  return key;
-}
-
-constexpr uint32_t kUnranked = 0xffffffffu;
-constexpr uint64_t kFlatVarLimit = 4096;
-
-/// Grow-only per-thread scratch for the flat canonicalization fast path:
-/// every per-term lookup is an array indexed by variable index, and no
-/// allocation survives between calls.
-struct FlatScratch {
-  std::vector<uint64_t> color;     // per variable index
-  std::vector<uint32_t> var_rank;  // per variable index; kUnranked = unseen
-  std::vector<uint32_t> touched;   // var indices to reset in var_rank
-  std::vector<std::pair<uint64_t, uint64_t>> occ;  // (var, code) pairs
+/// Grow-only per-thread scratch for canonicalization. Renameable terms
+/// (variables, plus nulls in sentinel mode) are numbered densely by the
+/// first pass's occurrence sort, so every per-term lookup is an array
+/// indexed by that number: the scratch is bounded by the state's size
+/// whatever the term indices, and no allocation survives between calls.
+struct CanonScratch {
+  std::vector<uint32_t> arg_begin;  // per atom: its first slot in `id`
+  std::vector<uint32_t> id;         // per argument slot: dense id or kRigid
+  std::vector<uint64_t> color;      // per dense id
+  std::vector<uint32_t> rank;       // per dense id; kUnranked = unseen
+  std::vector<uint32_t> touched;    // dense ids ranked so far
+  uint32_t next_var = 0;            // next canonical variable rank
+  uint32_t next_null = 0;           // next canonical null rank
+  std::vector<Occurrence> occ;
   std::vector<uint64_t> run_codes;
   std::vector<uint64_t> keys;  // concatenated per-atom invariant keys
   std::vector<std::pair<uint32_t, uint32_t>> key_span;  // per atom [b, e)
@@ -97,42 +52,34 @@ struct FlatScratch {
   std::vector<size_t> current;                     // order being built
   std::vector<uint64_t> prefix;                    // encoding of `current`
 
-  void Prepare(size_t num_vars) {
-    if (color.size() < num_vars) {
-      color.resize(num_vars, 0);
-      var_rank.resize(num_vars, kUnranked);
+  /// Encoded argument `k` of atom `idx`. Kind tags: rigid terms keep their
+  /// packed bits (tags 0/1); canonical variables use the unused tag 3;
+  /// renamed nulls use tag 1 with their rank (safe: in sentinel mode no
+  /// raw null bits are emitted). Ranks follow first occurrence, with one
+  /// counter per kind.
+  uint64_t Word(const Atom& a, size_t idx, size_t k) {
+    uint32_t d = id[arg_begin[idx] + k];
+    if (d == kRigid) return a.args[k].bits();
+    bool is_variable = a.args[k].is_variable();
+    uint32_t& r = rank[d];
+    if (r == kUnranked) {
+      r = is_variable ? next_var++ : next_null++;
+      touched.push_back(d);
     }
-    occ.clear();
-    keys.clear();
-    key_span.clear();
+    return (uint64_t{is_variable ? 3u : 1u} << 62) | r;
+  }
+
+  RankMark Mark() const { return {touched.size(), next_var, next_null}; }
+
+  void Rewind(RankMark mark) {
+    while (touched.size() > mark.touched) {
+      rank[touched.back()] = kUnranked;
+      touched.pop_back();
+    }
+    next_var = mark.next_var;
+    next_null = mark.next_null;
   }
 };
-
-/// EncodeOrder for the flat path: identical output, array-backed ranks.
-void FlatEncode(const std::vector<Atom>& atoms,
-                const std::vector<size_t>& order, FlatScratch* s,
-                std::vector<uint64_t>* enc) {
-  enc->clear();
-  uint32_t next = 0;
-  for (size_t idx : order) {
-    const Atom& a = atoms[idx];
-    enc->push_back((uint64_t{2} << 62) | a.predicate);
-    for (Term t : a.args) {
-      if (!t.is_variable()) {
-        enc->push_back(t.bits());
-        continue;
-      }
-      uint32_t v = static_cast<uint32_t>(t.index());
-      if (s->var_rank[v] == kUnranked) {
-        s->var_rank[v] = next++;
-        s->touched.push_back(v);
-      }
-      enc->push_back((uint64_t{3} << 62) | s->var_rank[v]);
-    }
-  }
-  for (uint32_t v : s->touched) s->var_rank[v] = kUnranked;
-  s->touched.clear();
-}
 
 /// Branch-and-bound search for the least encoding over the orders that
 /// permute each tie group within its slots — the same set of orders, and
@@ -140,10 +87,12 @@ void FlatEncode(const std::vector<Atom>& atoms,
 /// Atoms are placed one slot at a time and encoded incrementally; a
 /// prefix is abandoned only when it is strictly greater than the best
 /// complete encoding (McKay & Piperno's pruning of the search tree).
+/// Slots are tried in order, so with each group's atoms in ascending
+/// index order the first least order found is the brute force's first.
 class LeastGroupOrder {
  public:
   LeastGroupOrder(const std::vector<Atom>& atoms,
-                  const std::vector<size_t>& order, FlatScratch* s,
+                  const std::vector<size_t>& order, CanonScratch* s,
                   std::vector<uint64_t>* best, std::vector<size_t>* best_order)
       : atoms_(atoms),
         order_(order),
@@ -156,7 +105,6 @@ class LeastGroupOrder {
     s_->placed.assign(n, 0);
     s_->current.resize(n);
     s_->prefix.clear();
-    next_rank_ = 0;
     have_best_ = false;
     Place(0, /*tight=*/false);
   }
@@ -178,9 +126,13 @@ class LeastGroupOrder {
     for (uint32_t k = begin; k < end; ++k) {
       if (s_->placed[k] != 0) continue;
       size_t mark = s_->prefix.size();
-      size_t touched_mark = s_->touched.size();
-      uint32_t rank_mark = next_rank_;
-      Append(atoms_[order_[k]]);
+      RankMark ranks = s_->Mark();
+      size_t idx = order_[k];
+      const Atom& a = atoms_[idx];
+      s_->prefix.push_back((uint64_t{2} << 62) | a.predicate);
+      for (size_t i = 0; i < a.args.size(); ++i) {
+        s_->prefix.push_back(s_->Word(a, idx, i));
+      }
       int cmp = 0;
       for (size_t w = mark; tight && cmp == 0 && w < s_->prefix.size(); ++w) {
         if (s_->prefix[w] != (*best_)[w]) {
@@ -189,7 +141,7 @@ class LeastGroupOrder {
       }
       if (!tight || cmp <= 0) {
         s_->placed[k] = 1;
-        s_->current[slot] = order_[k];
+        s_->current[slot] = idx;
         if (Place(slot + 1, tight && cmp == 0)) {
           // The new best shares this prefix: compare against it again.
           improved = true;
@@ -198,124 +150,133 @@ class LeastGroupOrder {
         s_->placed[k] = 0;
       }
       s_->prefix.resize(mark);
-      while (s_->touched.size() > touched_mark) {
-        s_->var_rank[s_->touched.back()] = kUnranked;
-        s_->touched.pop_back();
-      }
-      next_rank_ = rank_mark;
+      s_->Rewind(ranks);
     }
     return improved;
   }
 
-  /// Appends one atom's words to the prefix (FlatEncode, one atom).
-  void Append(const Atom& a) {
-    s_->prefix.push_back((uint64_t{2} << 62) | a.predicate);
-    for (Term t : a.args) {
-      if (!t.is_variable()) {
-        s_->prefix.push_back(t.bits());
-        continue;
-      }
-      uint32_t v = static_cast<uint32_t>(t.index());
-      if (s_->var_rank[v] == kUnranked) {
-        s_->var_rank[v] = next_rank_++;
-        s_->touched.push_back(v);
-      }
-      s_->prefix.push_back((uint64_t{3} << 62) | s_->var_rank[v]);
-    }
-  }
-
   const std::vector<Atom>& atoms_;
   const std::vector<size_t>& order_;
-  FlatScratch* s_;
+  CanonScratch* s_;
   std::vector<uint64_t>* best_;
   std::vector<size_t>* best_order_;
-  uint32_t next_rank_ = 0;
   bool have_best_ = false;
 };
 
-/// Sorts the (var, code) pairs in `s->occ` and folds each variable's code
-/// run into its color (combining with the previous color when refining).
-/// The hash formulas mirror the map-based general path exactly, so both
-/// paths produce identical canonical encodings.
-void FoldColorRuns(FlatScratch* s, bool combine_old) {
-  std::sort(s->occ.begin(), s->occ.end());
+/// Sorts `s->occ` by term and folds each term's run of codes into its
+/// color. The first pass (`refine` false) keys runs by term bits and hands
+/// out dense ids in run order; the refinement pass keys runs by dense id
+/// and combines each new color with the previous one.
+void FoldColorRuns(CanonScratch* s, bool refine) {
+  std::sort(s->occ.begin(), s->occ.end(),
+            [](const Occurrence& a, const Occurrence& b) {
+              return a.term != b.term ? a.term < b.term : a.code < b.code;
+            });
+  uint32_t next_id = 0;
   for (size_t i = 0; i < s->occ.size();) {
-    uint64_t var = s->occ[i].first;
+    uint64_t term = s->occ[i].term;
     s->run_codes.clear();
     size_t j = i;
-    while (j < s->occ.size() && s->occ[j].first == var) {
-      s->run_codes.push_back(s->occ[j].second);
+    while (j < s->occ.size() && s->occ[j].term == term) {
+      s->run_codes.push_back(s->occ[j].code);
       ++j;
     }
     size_t c = HashRange(s->run_codes.begin(), s->run_codes.end());
-    if (combine_old) HashCombine(&c, s->color[var]);
-    s->color[var] = c;
+    if (refine) {
+      HashCombine(&c, s->color[term]);
+      s->color[term] = c;
+    } else {
+      for (size_t k = i; k < j; ++k) s->id[s->occ[k].arg] = next_id;
+      s->color.push_back(c);
+      ++next_id;
+    }
     i = j;
   }
 }
 
-/// The common-case canonicalization (no null renaming, no mapping out,
-/// variable indices < kFlatVarLimit): same algorithm and identical output
-/// as the general path below, with flat arrays replacing the hash maps.
-CanonicalState FlatCanonicalize(std::vector<Atom> atoms, size_t num_vars) {
-  static thread_local FlatScratch scratch;
-  FlatScratch* s = &scratch;
-  s->Prepare(num_vars);
+}  // namespace
+
+CanonicalState Canonicalize(std::vector<Atom> atoms, bool rename_nulls,
+                            std::unordered_map<Term, Term>* mapping) {
+  static thread_local CanonScratch scratch;
+  CanonScratch* s = &scratch;
   CanonicalState state;
   size_t n = atoms.size();
+  auto renameable = [rename_nulls](Term t) {
+    return t.is_variable() || (rename_nulls && t.is_null());
+  };
 
-  // Pass 1: occurrence-profile colors.
+  // Pass 1: color renameable terms by their occurrence profile (multiset
+  // of (predicate, position) pairs) to break most ties; the sort also
+  // numbers the terms densely.
+  s->arg_begin.clear();
+  s->id.clear();
+  s->occ.clear();
+  s->color.clear();
   for (const Atom& a : atoms) {
+    s->arg_begin.push_back(static_cast<uint32_t>(s->id.size()));
     for (size_t i = 0; i < a.args.size(); ++i) {
-      if (a.args[i].is_variable()) {
-        s->occ.emplace_back(a.args[i].index(),
-                            (static_cast<uint64_t>(a.predicate) << 8) | i);
+      if (renameable(a.args[i])) {
+        s->occ.push_back({a.args[i].bits(),
+                          (static_cast<uint64_t>(a.predicate) << 8) | i,
+                          static_cast<uint32_t>(s->id.size())});
       }
+      s->id.push_back(kRigid);
     }
   }
-  FoldColorRuns(s, /*combine_old=*/false);
+  FoldColorRuns(s, /*refine=*/false);
+  s->rank.assign(s->color.size(), kUnranked);
 
-  // Pass 1b: one WL refinement round (see the general path).
+  // Pass 1b: one Weisfeiler–Leman-style refinement round — recolor each
+  // term by the multiset of its occurrences *including the colors of the
+  // co-occurring terms*. This separates most structurally distinct but
+  // profile-identical terms, collapsing the tie groups the canonical
+  // search below would otherwise have to permute.
   if (n > 2) {
     s->occ.clear();
-    for (const Atom& a : atoms) {
+    for (size_t idx = 0; idx < n; ++idx) {
+      const Atom& a = atoms[idx];
+      const uint32_t* ids = s->id.data() + s->arg_begin[idx];
       size_t atom_sig = a.predicate;
-      for (Term t : a.args) {
+      for (size_t i = 0; i < a.args.size(); ++i) {
         HashCombine(&atom_sig,
-                    t.is_variable() ? s->color[t.index()] : t.bits());
+                    ids[i] == kRigid ? a.args[i].bits() : s->color[ids[i]]);
       }
       for (size_t i = 0; i < a.args.size(); ++i) {
-        if (a.args[i].is_variable()) {
-          size_t code = atom_sig;
-          HashCombine(&code, i);
-          s->occ.emplace_back(a.args[i].index(), code);
-        }
+        if (ids[i] == kRigid) continue;
+        size_t code = atom_sig;
+        HashCombine(&code, i);
+        s->occ.push_back({ids[i], code, 0});
       }
     }
-    FoldColorRuns(s, /*combine_old=*/true);
+    FoldColorRuns(s, /*refine=*/true);
   }
 
-  // Invariant keys, concatenated into one arena. A variable's local rank
-  // is its first-occurrence index among the atom's distinct variables,
-  // exactly as the general path's per-atom rank map.
-  std::vector<uint64_t> atom_seen;
-  for (const Atom& a : atoms) {
+  // Renaming-invariant key of each atom, concatenated into one arena:
+  // predicate, rigid terms verbatim, renameable terms as kind + rank of
+  // first occurrence among the atom's distinct renameable terms + color.
+  s->keys.clear();
+  s->key_span.clear();
+  std::vector<uint32_t> atom_seen;
+  for (size_t idx = 0; idx < n; ++idx) {
+    const Atom& a = atoms[idx];
+    const uint32_t* ids = s->id.data() + s->arg_begin[idx];
     uint32_t begin = static_cast<uint32_t>(s->keys.size());
     s->keys.push_back(a.predicate);
     atom_seen.clear();
-    for (Term t : a.args) {
-      if (!t.is_variable()) {
-        s->keys.push_back(t.bits());
+    for (size_t i = 0; i < a.args.size(); ++i) {
+      if (ids[i] == kRigid) {
+        s->keys.push_back(a.args[i].bits());
         continue;
       }
       size_t local_rank = 0;
-      while (local_rank < atom_seen.size() &&
-             atom_seen[local_rank] != t.index()) {
+      while (local_rank < atom_seen.size() && atom_seen[local_rank] != ids[i]) {
         ++local_rank;
       }
-      if (local_rank == atom_seen.size()) atom_seen.push_back(t.index());
-      s->keys.push_back((uint64_t{3} << 62) | local_rank);
-      s->keys.push_back(s->color[t.index()]);
+      if (local_rank == atom_seen.size()) atom_seen.push_back(ids[i]);
+      uint64_t kind_tag = a.args[i].is_variable() ? 3 : 1;
+      s->keys.push_back((kind_tag << 62) | local_rank);
+      s->keys.push_back(s->color[ids[i]]);
     }
     s->key_span.emplace_back(begin, static_cast<uint32_t>(s->keys.size()));
   }
@@ -336,6 +297,7 @@ CanonicalState FlatCanonicalize(std::vector<Atom> atoms, size_t num_vars) {
                       s->keys.begin() + bb);
   };
 
+  // Sort atoms by key; runs of equal keys are the tie groups.
   std::vector<size_t> order(n);
   for (size_t i = 0; i < n; ++i) order[i] = i;
   std::sort(order.begin(), order.end(), key_less);
@@ -354,12 +316,13 @@ CanonicalState FlatCanonicalize(std::vector<Atom> atoms, size_t num_vars) {
     i = j;
   }
 
-  if (groups.empty() || combinations > 720) {
-    FlatEncode(atoms, order, s, &state.encoding);
-  } else {
+  // Up to 720 group orders, take the one with the least encoding (exact
+  // canonical form on symmetric states); beyond, keep the sorted order.
+  if (!groups.empty() && combinations <= 720) {
     s->tie.resize(n);
     for (uint32_t i = 0; i < n; ++i) s->tie[i] = {i, i + 1};
     for (auto [begin, end] : groups) {
+      std::sort(order.begin() + begin, order.begin() + end);
       for (size_t i = begin; i < end; ++i) {
         s->tie[i] = {static_cast<uint32_t>(begin), static_cast<uint32_t>(end)};
       }
@@ -369,188 +332,32 @@ CanonicalState FlatCanonicalize(std::vector<Atom> atoms, size_t num_vars) {
     order = std::move(best_order);
   }
 
-  // Materialize atoms in canonical order with canonical names.
-  uint32_t next_rank = 0;
+  // Materialize atoms in canonical order with canonical names, encoding
+  // them on the way unless the canonical search already did.
+  bool encode = state.encoding.empty();
   state.atoms.reserve(n);
   for (size_t idx : order) {
+    const Atom& a = atoms[idx];
+    if (encode) state.encoding.push_back((uint64_t{2} << 62) | a.predicate);
     Atom renamed;
-    renamed.predicate = atoms[idx].predicate;
-    renamed.args.reserve(atoms[idx].args.size());
-    for (Term t : atoms[idx].args) {
-      if (t.is_variable()) {
-        uint32_t v = static_cast<uint32_t>(t.index());
-        if (s->var_rank[v] == kUnranked) {
-          s->var_rank[v] = next_rank++;
-          s->touched.push_back(v);
-        }
-        renamed.args.push_back(Term::Variable(s->var_rank[v]));
-      } else {
-        renamed.args.push_back(t);
-      }
-    }
-    state.atoms.push_back(std::move(renamed));
-  }
-  for (uint32_t v : s->touched) s->var_rank[v] = kUnranked;
-  s->touched.clear();
-
-  state.hash = HashRange(state.encoding.begin(), state.encoding.end());
-  return state;
-}
-
-}  // namespace
-
-CanonicalState Canonicalize(std::vector<Atom> atoms) {
-  return CanonicalizeEx(std::move(atoms), /*rename_nulls=*/false, nullptr);
-}
-
-CanonicalState CanonicalizeEx(std::vector<Atom> atoms, bool rename_nulls,
-                              std::unordered_map<Term, Term>* mapping) {
-  CanonicalState state;
-  size_t n = atoms.size();
-  if (n == 0) {
-    state.atoms = std::move(atoms);
-    state.hash = HashRange(state.encoding.begin(), state.encoding.end());
-    return state;
-  }
-  if (!rename_nulls && mapping == nullptr) {
-    uint64_t max_var = 0;
-    for (const Atom& a : atoms) {
-      for (Term t : a.args) {
-        if (t.is_variable() && t.index() > max_var) max_var = t.index();
-      }
-    }
-    if (max_var < kFlatVarLimit) {
-      return FlatCanonicalize(std::move(atoms), max_var + 1);
-    }
-  }
-
-  auto renameable = [rename_nulls](Term t) {
-    return t.is_variable() || (rename_nulls && t.is_null());
-  };
-
-  // Pass 1: color renameable terms by their occurrence profile (multiset
-  // of (predicate, position) pairs) to break most ties.
-  std::unordered_map<Term, std::vector<uint64_t>> occurrences;
-  for (const Atom& a : atoms) {
+    renamed.predicate = a.predicate;
+    renamed.args.reserve(a.args.size());
     for (size_t i = 0; i < a.args.size(); ++i) {
-      if (renameable(a.args[i])) {
-        occurrences[a.args[i]].push_back(
-            (static_cast<uint64_t>(a.predicate) << 8) | i);
-      }
-    }
-  }
-  std::unordered_map<Term, uint64_t> term_color;
-  for (auto& [term, profile] : occurrences) {
-    std::sort(profile.begin(), profile.end());
-    term_color[term] = HashRange(profile.begin(), profile.end());
-  }
-
-  // Pass 1b: one Weisfeiler–Leman-style refinement round — recolor each
-  // term by the multiset of its occurrences *including the colors of the
-  // co-occurring terms*. This separates most structurally distinct but
-  // profile-identical variables, collapsing the tie groups the brute-force
-  // pass below would otherwise have to permute.
-  if (n > 2) {
-    auto context_color = [&term_color](Term t) -> uint64_t {
-      if (t.is_constant() || t.is_null()) return t.bits();
-      auto it = term_color.find(t);
-      return it == term_color.end() ? 0 : it->second;
-    };
-    std::unordered_map<Term, std::vector<uint64_t>> refined;
-    for (const Atom& a : atoms) {
-      uint64_t atom_sig = a.predicate;
-      for (Term t : a.args) HashCombine(&atom_sig, context_color(t));
-      for (size_t i = 0; i < a.args.size(); ++i) {
-        if (renameable(a.args[i])) {
-          uint64_t occ = atom_sig;
-          HashCombine(&occ, i);
-          refined[a.args[i]].push_back(occ);
-        }
-      }
-    }
-    for (auto& [term, profile] : refined) {
-      std::sort(profile.begin(), profile.end());
-      uint64_t color = HashRange(profile.begin(), profile.end());
-      HashCombine(&color, term_color[term]);
-      term_color[term] = color;
-    }
-  }
-
-  // Sort atom indices by invariant key; collect tie groups.
-  std::vector<std::vector<uint64_t>> keys(n);
-  for (size_t i = 0; i < n; ++i) {
-    keys[i] = InvariantKey(atoms[i], rename_nulls, term_color);
-  }
-  std::vector<size_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&keys](size_t a, size_t b) { return keys[a] < keys[b]; });
-
-  std::vector<std::pair<size_t, size_t>> groups;  // [begin, end) in `order`
-  size_t combinations = 1;
-  for (size_t i = 0; i < n;) {
-    size_t j = i + 1;
-    while (j < n && keys[order[i]] == keys[order[j]]) ++j;
-    if (j - i > 1) {
-      groups.emplace_back(i, j);
-      for (size_t k = 2; k <= j - i && combinations <= 720; ++k) {
-        combinations *= k;
-      }
-    }
-    i = j;
-  }
-
-  if (groups.empty() || combinations > 720) {
-    state.encoding = EncodeOrder(atoms, order, rename_nulls);
-  } else {
-    // Brute-force tie-group permutations for the lexicographically
-    // smallest encoding (exact canonical form on symmetric states).
-    std::vector<uint64_t> best;
-    std::vector<size_t> current = order;
-    std::function<void(size_t)> recurse = [&](size_t group_index) {
-      if (group_index == groups.size()) {
-        std::vector<uint64_t> enc = EncodeOrder(atoms, current, rename_nulls);
-        if (best.empty() || enc < best) {
-          best = std::move(enc);
-          order = current;
-        }
-        return;
-      }
-      auto [begin, end] = groups[group_index];
-      std::vector<size_t> members(current.begin() + begin,
-                                  current.begin() + end);
-      std::sort(members.begin(), members.end());
-      do {
-        std::copy(members.begin(), members.end(), current.begin() + begin);
-        recurse(group_index + 1);
-      } while (std::next_permutation(members.begin(), members.end()));
-    };
-    recurse(0);
-    state.encoding = std::move(best);
-  }
-
-  // Materialize atoms in canonical order with canonical names.
-  std::unordered_map<Term, uint64_t> var_rank;
-  std::unordered_map<Term, uint64_t> null_rank;
-  state.atoms.reserve(n);
-  for (size_t idx : order) {
-    Atom renamed;
-    renamed.predicate = atoms[idx].predicate;
-    renamed.args.reserve(atoms[idx].args.size());
-    for (Term t : atoms[idx].args) {
+      uint64_t word = s->Word(a, idx, i);
+      if (encode) state.encoding.push_back(word);
+      Term t = a.args[i];
       Term out = t;
-      if (t.is_variable()) {
-        auto [it, inserted] = var_rank.try_emplace(t, var_rank.size());
-        out = Term::Variable(it->second);
-      } else if (rename_nulls && t.is_null()) {
-        auto [it, inserted] = null_rank.try_emplace(t, null_rank.size());
-        out = Term::Null(it->second);
+      if (s->id[s->arg_begin[idx] + i] != kRigid) {
+        uint64_t rank = word & ((uint64_t{1} << 62) - 1);
+        out = t.is_variable() ? Term::Variable(rank) : Term::Null(rank);
+        if (mapping != nullptr) (*mapping)[t] = out;
       }
-      if (mapping != nullptr && renameable(t)) (*mapping)[t] = out;
       renamed.args.push_back(out);
     }
     state.atoms.push_back(std::move(renamed));
   }
+  s->Rewind({0, 0, 0});
+
   state.hash = HashRange(state.encoding.begin(), state.encoding.end());
   return state;
 }

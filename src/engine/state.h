@@ -5,15 +5,18 @@
 // A proof state is the body of a CQ whose output variables have been frozen
 // to constants (Section 4.3). Two states that differ only by a bijective
 // renaming of variables are interchangeable, so the search canonicalizes
-// states before deduplicating them: atoms are ordered by a variable-
-// invariant key (refined once by variable "colors"), residual symmetric
-// groups are resolved by a bounded search for the least encoding, and
-// variables are renamed by first occurrence.
+// states before deduplicating them: variables are numbered densely,
+// atoms are ordered by a renaming-invariant key (refined once by variable
+// "colors"), residual symmetric groups are resolved by a branch-and-bound
+// search for the least encoding, and variables are renamed by first
+// occurrence. One routine serves the proof searches and, with sentinel
+// nulls renamed as well, the Lemma 6.4 rewriter.
 
 #ifndef VADALOG_ENGINE_STATE_H_
 #define VADALOG_ENGINE_STATE_H_
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "ast/atom.h"
@@ -42,17 +45,17 @@ struct CanonicalStateHash {
   size_t operator()(const CanonicalState& s) const { return s.Hash(); }
 };
 
-/// Canonicalizes a state (sorts atoms, renames variables).
-CanonicalState Canonicalize(std::vector<Atom> atoms);
-
-/// Extended canonicalization used by the Lemma 6.4 rewriter, which encodes
-/// frozen output variables as labeled nulls ("sentinels"): when
-/// `rename_nulls` is set, nulls are renamed canonically as a class of
-/// their own (distinct from variables). If `mapping` is non-null it
-/// receives the renaming original term → canonical term for every variable
-/// and (when renamed) null of the input.
-CanonicalState CanonicalizeEx(std::vector<Atom> atoms, bool rename_nulls,
-                              std::unordered_map<Term, Term>* mapping);
+/// Canonicalizes a state: sorts its atoms and renames its variables so
+/// that states equal up to a bijective variable renaming get the same
+/// canonical form, whatever the variable indices.
+///
+/// The Lemma 6.4 rewriter encodes frozen output variables as labeled
+/// nulls ("sentinels"): when `rename_nulls` is set, nulls are renamed
+/// canonically too, as a class of their own (distinct from variables). If
+/// `mapping` is non-null it receives the renaming original term →
+/// canonical term for every variable and (when renamed) null of the input.
+CanonicalState Canonicalize(std::vector<Atom> atoms, bool rename_nulls = false,
+                            std::unordered_map<Term, Term>* mapping = nullptr);
 
 /// Splits a state into connected components: atoms sharing a variable are
 /// in the same component (constants never connect — they are frozen).

@@ -62,7 +62,7 @@ class RewriteBuilder {
 
     std::unordered_map<Term, Term> mapping;
     CanonicalState s0 =
-        CanonicalizeEx(std::move(initial), /*rename_nulls=*/true, &mapping);
+        Canonicalize(std::move(initial), /*rename_nulls=*/true, &mapping);
     if (s0.atoms.size() > width_) return false;
     PredicateId c0 = StateFor(s0);
 
@@ -233,8 +233,7 @@ class RewriteBuilder {
 
     std::unordered_map<Term, Term> mapping;
     CanonicalState child =
-        CanonicalizeEx(std::move(child_atoms), /*rename_nulls=*/true,
-                       &mapping);
+        Canonicalize(std::move(child_atoms), /*rename_nulls=*/true, &mapping);
 
     // Rule: C[S](sentinels) :- edb atoms, C[child](pre-images).
     Tgd rule;
@@ -291,8 +290,8 @@ class RewriteBuilder {
       for (Resolvent& r : resolvents) {
         if (r.atoms.size() > width_) continue;  // Theorem 4.8 pruning
         std::unordered_map<Term, Term> mapping;
-        CanonicalState child = CanonicalizeEx(std::move(r.atoms),
-                                              /*rename_nulls=*/true, &mapping);
+        CanonicalState child =
+            Canonicalize(std::move(r.atoms), /*rename_nulls=*/true, &mapping);
         Tgd rule;
         uint64_t next_var = 0;
         std::unordered_map<Term, Term> tau;

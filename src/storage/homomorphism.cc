@@ -1,39 +1,138 @@
 #include "storage/homomorphism.h"
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <span>
 
 namespace vadalog {
 namespace {
 
-/// Chooses a join order greedily: the atom with the most bound terms first
-/// (ties: smaller relation). Returns indices into `atoms`.
-std::vector<size_t> JoinOrder(const std::vector<Atom>& atoms,
-                              const Instance& instance,
-                              const Substitution& seed) {
-  std::vector<size_t> order;
-  std::vector<bool> used(atoms.size(), false);
-  std::unordered_set<Term> bound_vars;
-  for (const auto& [from, to] : seed) {
-    if (from.is_variable()) bound_vars.insert(from);
+/// Grow-only matcher scratch: bindings live in flat arrays indexed by
+/// variable index (variables are numbered per statement, so indices stay
+/// small and dense), so matching does not allocate once warm.
+struct HomScratch {
+  std::vector<Term> binding;              // per variable index
+  std::vector<char> bound;                // per variable index
+  std::vector<uint32_t> touched;          // bound indices to reset
+  std::vector<const Relation*> relation;  // per pattern atom
+  std::vector<char> placed;               // per pattern atom
+  std::vector<uint32_t> order;            // join order
+  std::vector<uint32_t> free_vars;        // pattern variables the seed misses
+  std::vector<Term> images;               // per free variable, at a match
+};
+
+void Unbind(HomScratch* s, size_t mark) {
+  while (s->touched.size() > mark) {
+    s->bound[s->touched.back()] = 0;
+    s->touched.pop_back();
   }
-  auto bound_terms = [&](const Atom& atom) {
-    size_t bound = 0;
-    for (Term t : atom.args) {
-      if (t.is_rigid() || bound_vars.count(t) > 0) ++bound;
+}
+
+/// Lends each matcher call a thread-local scratch. A callback may run the
+/// matcher again (the linear search simplifies each match-and-drop child,
+/// which calls HasHomomorphism), so every nesting level gets its own.
+class ScratchLease {
+ public:
+  ScratchLease() {
+    Pool& pool = ThisThreadPool();
+    if (pool.depth == pool.levels.size()) {
+      pool.levels.push_back(std::make_unique<HomScratch>());
     }
-    return bound;
+    scratch_ = pool.levels[pool.depth++].get();
+    Unbind(scratch_, 0);  // left bound if a callback threw
+  }
+  ~ScratchLease() { --ThisThreadPool().depth; }
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+
+  HomScratch* get() const { return scratch_; }
+
+ private:
+  struct Pool {
+    std::vector<std::unique_ptr<HomScratch>> levels;
+    size_t depth = 0;
   };
+  static Pool& ThisThreadPool() {
+    static thread_local Pool pool;
+    return pool;
+  }
+
+  HomScratch* scratch_;
+};
+
+/// Grows the binding arrays to cover every variable of `atoms`.
+void Reserve(std::span<const Atom> atoms, HomScratch* s) {
+  uint64_t num_vars = 0;
+  for (const Atom& a : atoms) {
+    for (Term t : a.args) {
+      if (t.is_variable()) num_vars = std::max(num_vars, t.index() + 1);
+    }
+  }
+  if (s->binding.size() < num_vars) {
+    s->binding.resize(num_vars);
+    s->bound.resize(num_vars, 0);
+  }
+}
+
+void Bind(HomScratch* s, uint32_t v, Term image) {
+  s->bound[v] = 1;
+  s->binding[v] = image;
+  s->touched.push_back(v);
+}
+
+/// Looks up each atom's relation; false if one has none (no match then).
+bool FindRelations(std::span<const Atom> atoms, const Instance& instance,
+                   HomScratch* s) {
+  s->relation.clear();
+  for (const Atom& a : atoms) {
+    const Relation* rel = instance.RelationFor(a.predicate);
+    if (rel == nullptr) return false;
+    s->relation.push_back(rel);
+  }
+  return true;
+}
+
+/// Extends the bindings so that `atom` maps onto `tuple`: constants and
+/// nulls match exactly, bound variables their image. Returns false on a
+/// mismatch, leaving partial bindings for the caller to unbind.
+bool BindTuple(const Atom& atom, const std::vector<Term>& tuple,
+               HomScratch* s) {
+  for (size_t i = 0; i < atom.args.size(); ++i) {
+    Term arg = atom.args[i];
+    if (!arg.is_variable()) {
+      if (arg != tuple[i]) return false;
+      continue;
+    }
+    uint32_t v = static_cast<uint32_t>(arg.index());
+    if (s->bound[v] != 0) {
+      if (s->binding[v] != tuple[i]) return false;
+    } else {
+      Bind(s, v, tuple[i]);
+    }
+  }
+  return true;
+}
+
+/// Chooses the join order greedily: the atom with the most bound terms
+/// first (ties: smaller relation, then lower index), counting what is
+/// already bound. Records the variables it binds in `s->free_vars`, in
+/// order of first binding, and leaves the bindings as it found them.
+void PlanJoin(std::span<const Atom> atoms, HomScratch* s) {
+  size_t mark = s->touched.size();
+  s->order.clear();
+  s->placed.assign(atoms.size(), 0);
   for (size_t step = 0; step < atoms.size(); ++step) {
     size_t best = atoms.size();
     size_t best_bound = 0;
     size_t best_size = ~size_t{0};
     for (size_t i = 0; i < atoms.size(); ++i) {
-      if (used[i]) continue;
-      size_t bound = bound_terms(atoms[i]);
-      const Relation* rel = instance.RelationFor(atoms[i].predicate);
-      size_t size = rel == nullptr ? 0 : rel->size();
+      if (s->placed[i] != 0) continue;
+      size_t bound = 0;
+      for (Term t : atoms[i].args) {
+        if (t.is_rigid() || s->bound[t.index()] != 0) ++bound;
+      }
+      size_t size = s->relation[i]->size();
       if (best == atoms.size() || bound > best_bound ||
           (bound == best_bound && size < best_size)) {
         best = i;
@@ -41,71 +140,75 @@ std::vector<size_t> JoinOrder(const std::vector<Atom>& atoms,
         best_size = size;
       }
     }
-    used[best] = true;
-    order.push_back(best);
+    s->placed[best] = 1;
+    s->order.push_back(static_cast<uint32_t>(best));
     for (Term t : atoms[best].args) {
-      if (t.is_variable()) bound_vars.insert(t);
+      if (t.is_variable() && s->bound[t.index()] == 0) {
+        Bind(s, static_cast<uint32_t>(t.index()), t);
+      }
     }
   }
-  return order;
+  s->free_vars.assign(s->touched.begin() + mark, s->touched.end());
+  Unbind(s, mark);
 }
 
-/// Attempts to extend `subst` so that `atom` maps onto `tuple`; appends the
-/// newly bound variables to `newly_bound`. Returns false on mismatch (in
-/// which case the caller must roll back `newly_bound`).
-bool TryExtend(const Atom& atom, const std::vector<Term>& tuple,
-               Substitution* subst, std::vector<Term>* newly_bound) {
-  for (size_t i = 0; i < atom.args.size(); ++i) {
-    Term pattern = ApplySubstitution(*subst, atom.args[i]);
-    if (pattern.is_rigid()) {
-      if (pattern != tuple[i]) return false;
-    } else {
-      subst->emplace(pattern, tuple[i]);
-      newly_bound->push_back(pattern);
-    }
+/// The substitution handed to callbacks. Every match binds the same
+/// variables, so their map nodes are made once and each match overwrites
+/// their images through pointers (map nodes never move): no map churn.
+class ReusedSubstitution {
+ public:
+  ReusedSubstitution(const Substitution& seed, std::span<const uint32_t> vars)
+      : h_(seed) {
+    slot_.reserve(vars.size());
+    for (uint32_t v : vars) slot_.push_back(&h_[Term::Variable(v)]);
   }
-  return true;
-}
 
-bool MatchFrom(const std::vector<Atom>& atoms,
-               const std::vector<size_t>& order, size_t depth,
-               const Instance& instance, Substitution* subst,
-               const HomomorphismCallback& callback) {
-  if (depth == order.size()) return callback(*subst);
-  const Atom& atom = atoms[order[depth]];
-  const Relation* rel = instance.RelationFor(atom.predicate);
-  if (rel == nullptr) return true;  // no tuples: zero matches, keep going
+  /// Sets the images of the variables, in constructor order.
+  const Substitution& Fill(const Term* images) {
+    for (size_t i = 0; i < slot_.size(); ++i) *slot_[i] = images[i];
+    return h_;
+  }
 
-  // Pick the most selective bound position to drive the index lookup.
-  int best_position = -1;
-  size_t best_candidates = ~size_t{0};
+ private:
+  Substitution h_;
+  std::vector<Term*> slot_;
+};
+
+/// Enumerates the matches of `atoms` (in `s->order`, from `depth`) that
+/// extend the current bindings, calling `leaf()` on each with every
+/// variable bound. Each atom is matched through the positional index of
+/// its most selective bound position, rows in index order. Returns false
+/// as soon as `leaf` does.
+template <typename Leaf>
+bool Match(std::span<const Atom> atoms, HomScratch* s, size_t depth,
+           Leaf& leaf) {
+  if (depth == s->order.size()) return leaf();
+  const Atom& atom = atoms[s->order[depth]];
+  const Relation* rel = s->relation[s->order[depth]];
+
+  const std::vector<uint32_t>* best_rows = nullptr;
   for (size_t i = 0; i < atom.args.size(); ++i) {
-    Term t = ApplySubstitution(*subst, atom.args[i]);
-    if (!t.is_rigid()) continue;
-    size_t n = rel->RowsWith(static_cast<uint32_t>(i), t).size();
-    if (n < best_candidates) {
-      best_candidates = n;
-      best_position = static_cast<int>(i);
+    Term t = atom.args[i];
+    if (t.is_variable()) {
+      if (s->bound[t.index()] == 0) continue;
+      t = s->binding[t.index()];
+    }
+    const std::vector<uint32_t>& rows =
+        rel->RowsWith(static_cast<uint32_t>(i), t);
+    if (best_rows == nullptr || rows.size() < best_rows->size()) {
+      best_rows = &rows;
     }
   }
 
   auto try_row = [&](size_t row) {
-    std::vector<Term> newly_bound;
-    if (TryExtend(atom, rel->TupleAt(row), subst, &newly_bound)) {
-      if (!MatchFrom(atoms, order, depth + 1, instance, subst, callback)) {
-        for (Term t : newly_bound) subst->erase(t);
-        return false;
-      }
-    }
-    for (Term t : newly_bound) subst->erase(t);
-    return true;
+    size_t mark = s->touched.size();
+    bool go_on = !BindTuple(atom, rel->TupleAt(row), s) ||
+                 Match(atoms, s, depth + 1, leaf);
+    Unbind(s, mark);
+    return go_on;
   };
-
-  if (best_position >= 0) {
-    Term key = ApplySubstitution(
-        *subst, atom.args[static_cast<size_t>(best_position)]);
-    for (uint32_t row :
-         rel->RowsWith(static_cast<uint32_t>(best_position), key)) {
+  if (best_rows != nullptr) {
+    for (uint32_t row : *best_rows) {
       if (!try_row(row)) return false;
     }
   } else {
@@ -122,35 +225,59 @@ bool ForEachHomomorphism(const std::vector<Atom>& atoms,
                          const Instance& instance, const Substitution& seed,
                          const HomomorphismCallback& callback) {
   if (atoms.empty()) return callback(seed);
-  std::vector<size_t> order = JoinOrder(atoms, instance, seed);
-  Substitution subst = seed;
-  return MatchFrom(atoms, order, 0, instance, &subst, callback);
+  ScratchLease lease;
+  HomScratch* s = lease.get();
+  if (!FindRelations(atoms, instance, s)) return true;
+  Reserve(atoms, s);
+  for (const auto& [from, to] : seed) {
+    if (!from.is_variable()) continue;
+    uint32_t v = static_cast<uint32_t>(from.index());
+    if (v >= s->binding.size()) continue;  // not a pattern variable
+    Bind(s, v, to);
+  }
+  PlanJoin(atoms, s);
+
+  ReusedSubstitution h(seed, s->free_vars);
+  s->images.resize(s->free_vars.size());
+  auto leaf = [&] {
+    for (size_t i = 0; i < s->free_vars.size(); ++i) {
+      s->images[i] = s->binding[s->free_vars[i]];
+    }
+    return callback(h.Fill(s->images.data()));
+  };
+  return Match(atoms, s, 0, leaf);
 }
 
 uint64_t ForEachDeltaTrigger(std::span<const Atom> body,
                              std::span<const Atom> delta,
                              const Instance& instance,
                              const HomomorphismCallback& apply) {
+  ScratchLease lease;
+  HomScratch* s = lease.get();
+  Reserve(body, s);
   // Every match binds exactly the body's variables, so a match is buffered
   // as one flat row of their images and replayed into one reused
-  // substitution: no hash-map copy per match. `slot[i]` points at the
-  // image of vars[i] in `h` (map nodes never move).
-  std::vector<Term> vars;
+  // substitution.
+  std::vector<uint32_t> vars;
   for (const Atom& atom : body) {
     for (Term t : atom.args) {
-      if (t.is_variable() && std::find(vars.begin(), vars.end(), t) ==
-                                 vars.end()) {
-        vars.push_back(t);
+      if (!t.is_variable()) continue;
+      uint32_t v = static_cast<uint32_t>(t.index());
+      if (std::find(vars.begin(), vars.end(), v) == vars.end()) {
+        vars.push_back(v);
       }
     }
   }
-  Substitution h;
-  std::vector<Term*> slot;
-  for (Term v : vars) slot.push_back(&h[v]);
+  ReusedSubstitution h({}, vars);
 
   uint64_t enumerated = 0;
   std::vector<Term> rows;
-  std::vector<Term> newly_bound;
+  size_t matches = 0;
+  auto leaf = [&] {
+    for (uint32_t v : vars) rows.push_back(s->binding[v]);
+    ++matches;
+    return true;
+  };
   std::vector<Atom> rest;
   for (size_t anchor = 0; anchor < body.size(); ++anchor) {
     const Atom& pattern = body[anchor];
@@ -162,30 +289,35 @@ uint64_t ForEachDeltaTrigger(std::span<const Atom> body,
     }
     for (const Atom& delta_atom : delta) {
       if (delta_atom.predicate != pattern.predicate) continue;
-      // Bind the anchor pattern against the delta atom.
-      Substitution seed;
-      newly_bound.clear();
-      if (!TryExtend(pattern, delta_atom.args, &seed, &newly_bound)) continue;
-
       // Matching must not run concurrently with insertions (relation
-      // storage may reallocate): buffer the matches, apply after.
+      // storage may reallocate): buffer the matches, apply after. The
+      // anchor binds straight into the scratch; relations and the join
+      // order are looked up afresh, as `apply` may have inserted.
       rows.clear();
-      size_t matches = 0;
-      ForEachHomomorphism(rest, instance, seed, [&](const Substitution& m) {
-        for (Term v : vars) rows.push_back(m.at(v));
-        ++matches;
-        return true;
-      });
+      matches = 0;
+      if (BindTuple(pattern, delta_atom.args, s) &&
+          FindRelations(rest, instance, s)) {
+        PlanJoin(rest, s);
+        Match(rest, s, 0, leaf);
+      }
+      Unbind(s, 0);
       enumerated += matches;
       for (size_t k = 0; k < matches; ++k) {
-        for (size_t i = 0; i < vars.size(); ++i) {
-          *slot[i] = rows[k * vars.size() + i];
-        }
-        if (!apply(h)) return enumerated;
+        if (!apply(h.Fill(rows.data() + k * vars.size()))) return enumerated;
       }
     }
   }
   return enumerated;
+}
+
+bool HasHomomorphism(std::span<const Atom> atoms, const Instance& instance) {
+  ScratchLease lease;
+  HomScratch* s = lease.get();
+  if (!FindRelations(atoms, instance, s)) return false;
+  Reserve(atoms, s);
+  PlanJoin(atoms, s);
+  auto stop = [] { return false; };
+  return !Match(atoms, s, 0, stop);
 }
 
 std::vector<std::vector<Term>> EvaluateQuery(const ConjunctiveQuery& query,
@@ -219,147 +351,6 @@ std::vector<std::vector<Term>> EvaluateQuerySorted(
       EvaluateQuery(query, instance, certain_only);
   std::sort(results.begin(), results.end());
   return results;
-}
-
-namespace {
-
-/// Grow-only scratch for HasHomomorphism: the proof searches' eager
-/// simplification runs it on every dirty component of every successor,
-/// so the matcher must not allocate. Bindings live in flat arrays indexed
-/// by variable index (variables are numbered per statement, so indices
-/// stay small and dense).
-struct HomScratch {
-  std::vector<Term> binding;              // per variable index
-  std::vector<char> bound;                // per variable index
-  std::vector<uint32_t> touched;          // bound indices to reset
-  std::vector<const Relation*> relation;  // per pattern atom
-  std::vector<char> placed;               // per pattern atom
-  std::vector<uint32_t> order;            // join order
-};
-
-void Unbind(HomScratch* s, size_t mark) {
-  while (s->touched.size() > mark) {
-    s->bound[s->touched.back()] = 0;
-    s->touched.pop_back();
-  }
-}
-
-/// JoinOrder on flat arrays: the atom with the most bound terms first
-/// (ties: smaller relation, then lower index). Marks every variable of
-/// the pattern bound; the caller resets them.
-void FlatJoinOrder(std::span<const Atom> atoms, HomScratch* s) {
-  s->order.clear();
-  s->placed.assign(atoms.size(), 0);
-  for (size_t step = 0; step < atoms.size(); ++step) {
-    size_t best = atoms.size();
-    size_t best_bound = 0;
-    size_t best_size = ~size_t{0};
-    for (size_t i = 0; i < atoms.size(); ++i) {
-      if (s->placed[i] != 0) continue;
-      size_t bound = 0;
-      for (Term t : atoms[i].args) {
-        if (t.is_rigid() || s->bound[t.index()] != 0) ++bound;
-      }
-      size_t size = s->relation[i]->size();
-      if (best == atoms.size() || bound > best_bound ||
-          (bound == best_bound && size < best_size)) {
-        best = i;
-        best_bound = bound;
-        best_size = size;
-      }
-    }
-    s->placed[best] = 1;
-    s->order.push_back(static_cast<uint32_t>(best));
-    for (Term t : atoms[best].args) {
-      if (t.is_variable() && s->bound[t.index()] == 0) {
-        s->bound[t.index()] = 1;
-        s->touched.push_back(static_cast<uint32_t>(t.index()));
-      }
-    }
-  }
-}
-
-bool MatchFlatFrom(std::span<const Atom> atoms, HomScratch* s, size_t depth) {
-  if (depth == s->order.size()) return true;
-  const Atom& atom = atoms[s->order[depth]];
-  const Relation* rel = s->relation[s->order[depth]];
-
-  // Pick the most selective bound position to drive the index lookup.
-  const std::vector<uint32_t>* best_rows = nullptr;
-  for (size_t i = 0; i < atom.args.size(); ++i) {
-    Term t = atom.args[i];
-    if (t.is_variable()) {
-      if (s->bound[t.index()] == 0) continue;
-      t = s->binding[t.index()];
-    }
-    const std::vector<uint32_t>& rows =
-        rel->RowsWith(static_cast<uint32_t>(i), t);
-    if (best_rows == nullptr || rows.size() < best_rows->size()) {
-      best_rows = &rows;
-    }
-  }
-
-  auto try_row = [&](size_t row) {
-    const std::vector<Term>& tuple = rel->TupleAt(row);
-    size_t mark = s->touched.size();
-    bool ok = true;
-    for (size_t i = 0; i < atom.args.size() && ok; ++i) {
-      Term arg = atom.args[i];
-      if (!arg.is_variable()) {
-        ok = arg == tuple[i];  // constants and nulls match exactly
-        continue;
-      }
-      uint32_t v = static_cast<uint32_t>(arg.index());
-      if (s->bound[v] != 0) {
-        ok = s->binding[v] == tuple[i];
-      } else {
-        s->bound[v] = 1;
-        s->binding[v] = tuple[i];
-        s->touched.push_back(v);
-      }
-    }
-    if (ok && MatchFlatFrom(atoms, s, depth + 1)) return true;
-    Unbind(s, mark);
-    return false;
-  };
-
-  if (best_rows != nullptr) {
-    for (uint32_t row : *best_rows) {
-      if (try_row(row)) return true;
-    }
-  } else {
-    for (size_t row = 0; row < rel->size(); ++row) {
-      if (try_row(row)) return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-bool HasHomomorphism(std::span<const Atom> atoms, const Instance& instance) {
-  static thread_local HomScratch scratch;
-  HomScratch* s = &scratch;
-  s->relation.clear();
-  uint64_t num_vars = 0;
-  for (const Atom& a : atoms) {
-    const Relation* rel = instance.RelationFor(a.predicate);
-    if (rel == nullptr) return false;  // an atom with no tuples never maps
-    s->relation.push_back(rel);
-    for (Term t : a.args) {
-      if (t.is_variable()) num_vars = std::max(num_vars, t.index() + 1);
-    }
-  }
-  if (s->binding.size() < num_vars) {
-    s->binding.resize(num_vars);
-    s->bound.resize(num_vars, 0);
-  }
-  FlatJoinOrder(atoms, s);
-  Unbind(s, 0);
-  bool found = MatchFlatFrom(atoms, s, 0);
-  // A successful match leaves its bindings in place.
-  Unbind(s, 0);
-  return found;
 }
 
 namespace {

@@ -2,6 +2,13 @@
 // variables) against an instance. This is the workhorse behind chase-step
 // applicability, CQ evaluation (Proposition 2.1), and the match-and-drop
 // step of the bounded proof search.
+//
+// One matcher serves every entry point below: a greedy join order (most
+// bound terms first, ties to the smaller relation), each atom matched
+// through the positional index of its most selective bound position, and
+// bindings in flat per-variable-index arrays on a grow-only thread-local
+// scratch (one per nesting level, so a callback may match again). The
+// entry points differ only in what they do at a match.
 
 #ifndef VADALOG_STORAGE_HOMOMORPHISM_H_
 #define VADALOG_STORAGE_HOMOMORPHISM_H_
@@ -25,9 +32,11 @@ using HomomorphismCallback = std::function<bool(const Substitution&)>;
 /// Enumerates homomorphisms h extending `seed` with h(atoms) ⊆ instance.
 /// Terms in the atoms that are constants or nulls must match exactly
 /// (homomorphisms are the identity on C; nulls in a *pattern* are treated
-/// as rigid names, which is what chase-step applicability needs).
-/// Returns true if enumeration ran to completion (callback never returned
-/// false).
+/// as rigid names, which is what chase-step applicability needs). The
+/// seed binds variables to constants or nulls; its bound variables count
+/// as bound for the join order. The callback's substitution is one map,
+/// refilled per match, so it is valid only during the call. Returns true
+/// if enumeration ran to completion (callback never returned false).
 bool ForEachHomomorphism(const std::vector<Atom>& atoms,
                          const Instance& instance, const Substitution& seed,
                          const HomomorphismCallback& callback);
@@ -48,10 +57,9 @@ uint64_t ForEachDeltaTrigger(std::span<const Atom> body,
                              const Instance& instance,
                              const HomomorphismCallback& apply);
 
-/// True if at least one homomorphism h with h(atoms) ⊆ instance exists —
-/// exactly when ForEachHomomorphism (empty seed) finds a match. Same
-/// greedy join order and index choice, on a grow-only thread-local
-/// scratch of flat per-variable-index bindings: no allocation once warm.
+/// True if at least one homomorphism h with h(atoms) ⊆ instance exists:
+/// the enumeration of ForEachHomomorphism (empty seed), stopped at its
+/// first match. No allocation once warm.
 bool HasHomomorphism(std::span<const Atom> atoms, const Instance& instance);
 
 /// Evaluates a CQ over an instance: the set of output tuples h(x̄) over all

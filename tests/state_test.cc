@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "ast/parser.h"
+#include "base/hash.h"
 #include "base/rng.h"
 #include "engine/state.h"
 #include "storage/homomorphism.h"
@@ -76,8 +77,8 @@ TEST(CanonicalizeTest, EmptyState) {
 TEST(CanonicalizeTest, SentinelModeRenamesNulls) {
   std::vector<Atom> one = {MakeAtom(0, {Term::Null(7), Term::Variable(0)})};
   std::vector<Atom> two = {MakeAtom(0, {Term::Null(2), Term::Variable(5)})};
-  EXPECT_EQ(CanonicalizeEx(one, true, nullptr),
-            CanonicalizeEx(two, true, nullptr));
+  EXPECT_EQ(Canonicalize(one, /*rename_nulls=*/true),
+            Canonicalize(two, /*rename_nulls=*/true));
   // Without renaming, the nulls are rigid and distinct.
   EXPECT_FALSE(Canonicalize(one) == Canonicalize(two));
 }
@@ -85,16 +86,62 @@ TEST(CanonicalizeTest, SentinelModeRenamesNulls) {
 TEST(CanonicalizeTest, SentinelsStayDistinctFromVariables) {
   std::vector<Atom> null_version = {MakeAtom(0, {Term::Null(0)})};
   std::vector<Atom> var_version = {MakeAtom(0, {Term::Variable(0)})};
-  EXPECT_FALSE(CanonicalizeEx(null_version, true, nullptr) ==
-               CanonicalizeEx(var_version, true, nullptr));
+  EXPECT_FALSE(Canonicalize(null_version, /*rename_nulls=*/true) ==
+               Canonicalize(var_version, /*rename_nulls=*/true));
 }
 
 TEST(CanonicalizeTest, MappingReportsRenaming) {
   std::unordered_map<Term, Term> mapping;
-  CanonicalizeEx({MakeAtom(0, {Term::Variable(8), Term::Null(4)})}, true,
-                 &mapping);
+  Canonicalize({MakeAtom(0, {Term::Variable(8), Term::Null(4)})},
+               /*rename_nulls=*/true, &mapping);
   EXPECT_EQ(mapping.at(Term::Variable(8)), Term::Variable(0));
   EXPECT_EQ(mapping.at(Term::Null(4)), Term::Null(0));
+}
+
+TEST(CanonicalizeTest, SentinelModeInvariantUnderNullRenaming) {
+  // {p(Na,X), p(Nb,Y), q(X,Y)} and its copy with the two nulls swapped
+  // are equal up to renaming nulls, so sentinel mode must merge them,
+  // whichever nulls they are: the refinement round must see a renameable
+  // null's color, never its raw index.
+  for (uint64_t a = 0; a < 8; ++a) {
+    for (uint64_t b = 0; b < 8; ++b) {
+      if (a == b) continue;
+      auto state = [](Term first, Term second) {
+        return std::vector<Atom>{
+            MakeAtom(0, {first, Term::Variable(0)}),
+            MakeAtom(0, {second, Term::Variable(1)}),
+            MakeAtom(1, {Term::Variable(0), Term::Variable(1)})};
+      };
+      EXPECT_EQ(
+          Canonicalize(state(Term::Null(a), Term::Null(b)), true),
+          Canonicalize(state(Term::Null(b), Term::Null(a)), true))
+          << "nulls " << a << ", " << b;
+    }
+  }
+}
+
+TEST(CanonicalizeTest, LargeTermIndices) {
+  // Scratch is sized by the state, not by term indices: a variable (or,
+  // in sentinel mode, a null) with a huge index canonicalizes exactly
+  // like its small-index renaming.
+  Term big_null = Term::Null(uint64_t{1} << 40);
+  std::vector<Atom> large = {
+      MakeAtom(0, {Term::Variable(100000), Term::Variable(7)}),
+      MakeAtom(1, {Term::Variable(7), big_null})};
+  std::vector<Atom> small_vars = {
+      MakeAtom(0, {Term::Variable(2), Term::Variable(7)}),
+      MakeAtom(1, {Term::Variable(7), big_null})};
+  CanonicalState canonical = Canonicalize(large);
+  CanonicalState renamed = Canonicalize(small_vars);
+  EXPECT_EQ(canonical.encoding, renamed.encoding);
+  EXPECT_EQ(canonical.atoms, renamed.atoms);
+  EXPECT_EQ(canonical.hash, renamed.hash);
+
+  std::vector<Atom> small = {
+      MakeAtom(0, {Term::Variable(0), Term::Variable(1)}),
+      MakeAtom(1, {Term::Variable(1), Term::Null(3)})};
+  EXPECT_EQ(Canonicalize(large, /*rename_nulls=*/true),
+            Canonicalize(small, /*rename_nulls=*/true));
 }
 
 TEST(SplitComponentsTest, DisjointAtomsSplit) {
@@ -182,20 +229,197 @@ std::vector<Atom> RandomSymmetricState(Rng* rng) {
   return atoms;
 }
 
-TEST(CanonicalizeTest, BranchAndBoundMatchesGeneralBruteForce) {
-  // The flat path's branch-and-bound over tie-group orders must find the
-  // same least encoding as the general path's brute force (a mapping
-  // request forces the general path).
+/// Reference canonicalization, kept only as a test oracle: the same
+/// colors and keys computed with hash maps, and every permutation of the
+/// tie groups tried by brute force (the first least encoding wins).
+class ReferenceCanonicalizer {
+ public:
+  ReferenceCanonicalizer(const std::vector<Atom>& atoms, bool rename_nulls)
+      : atoms_(atoms), rename_nulls_(rename_nulls) {}
+
+  CanonicalState Run(std::unordered_map<Term, Term>* mapping) {
+    size_t n = atoms_.size();
+    // Occurrence-profile colors, then one refinement round.
+    std::unordered_map<Term, std::vector<uint64_t>> occurrences;
+    for (const Atom& a : atoms_) {
+      for (size_t i = 0; i < a.args.size(); ++i) {
+        if (Renameable(a.args[i])) {
+          occurrences[a.args[i]].push_back(
+              (static_cast<uint64_t>(a.predicate) << 8) | i);
+        }
+      }
+    }
+    for (auto& [term, profile] : occurrences) {
+      std::sort(profile.begin(), profile.end());
+      color_[term] = HashRange(profile.begin(), profile.end());
+    }
+    if (n > 2) {
+      std::unordered_map<Term, std::vector<uint64_t>> refined;
+      for (const Atom& a : atoms_) {
+        size_t atom_sig = a.predicate;
+        for (Term t : a.args) {
+          HashCombine(&atom_sig, Renameable(t) ? color_.at(t) : t.bits());
+        }
+        for (size_t i = 0; i < a.args.size(); ++i) {
+          if (!Renameable(a.args[i])) continue;
+          size_t occ = atom_sig;
+          HashCombine(&occ, i);
+          refined[a.args[i]].push_back(occ);
+        }
+      }
+      for (auto& [term, profile] : refined) {
+        std::sort(profile.begin(), profile.end());
+        size_t color = HashRange(profile.begin(), profile.end());
+        HashCombine(&color, color_.at(term));
+        color_[term] = color;
+      }
+    }
+
+    std::vector<std::vector<uint64_t>> keys;
+    for (const Atom& a : atoms_) keys.push_back(Key(a));
+    std::vector<size_t> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(),
+              [&keys](size_t a, size_t b) { return keys[a] < keys[b]; });
+    size_t combinations = 1;
+    for (size_t i = 0; i < n;) {
+      size_t j = i + 1;
+      while (j < n && keys[order[i]] == keys[order[j]]) ++j;
+      if (j - i > 1) {
+        groups_.emplace_back(i, j);
+        for (size_t k = 2; k <= j - i && combinations <= 720; ++k) {
+          combinations *= k;
+        }
+      }
+      i = j;
+    }
+    if (combinations > 720) groups_.clear();
+    current_ = order;
+    best_order_ = order;
+    Permute(0);
+
+    CanonicalState state;
+    state.encoding = best_;
+    std::unordered_map<Term, uint64_t> var_rank, null_rank;
+    for (size_t idx : best_order_) {
+      Atom renamed = atoms_[idx];
+      for (Term& t : renamed.args) {
+        Term original = t;
+        if (t.is_variable()) {
+          t = Term::Variable(
+              var_rank.try_emplace(t, var_rank.size()).first->second);
+        } else if (Renameable(t)) {
+          t = Term::Null(
+              null_rank.try_emplace(t, null_rank.size()).first->second);
+        }
+        if (mapping != nullptr && Renameable(original)) {
+          (*mapping)[original] = t;
+        }
+      }
+      state.atoms.push_back(std::move(renamed));
+    }
+    state.hash = HashRange(state.encoding.begin(), state.encoding.end());
+    return state;
+  }
+
+ private:
+  bool Renameable(Term t) const {
+    return t.is_variable() || (rename_nulls_ && t.is_null());
+  }
+
+  std::vector<uint64_t> Key(const Atom& a) const {
+    std::vector<uint64_t> key = {a.predicate};
+    std::unordered_map<Term, uint64_t> local_rank;
+    for (Term t : a.args) {
+      if (!Renameable(t)) {
+        key.push_back(t.bits());
+        continue;
+      }
+      uint64_t rank =
+          local_rank.try_emplace(t, local_rank.size()).first->second;
+      key.push_back((uint64_t{t.is_variable() ? 3u : 1u} << 62) | rank);
+      key.push_back(color_.at(t));
+    }
+    return key;
+  }
+
+  std::vector<uint64_t> Encode(const std::vector<size_t>& order) const {
+    std::vector<uint64_t> enc;
+    std::unordered_map<Term, uint64_t> var_rank, null_rank;
+    for (size_t idx : order) {
+      enc.push_back((uint64_t{2} << 62) | atoms_[idx].predicate);
+      for (Term t : atoms_[idx].args) {
+        if (t.is_variable()) {
+          enc.push_back((uint64_t{3} << 62) |
+                        var_rank.try_emplace(t, var_rank.size()).first->second);
+        } else if (Renameable(t)) {
+          enc.push_back(
+              (uint64_t{1} << 62) |
+              null_rank.try_emplace(t, null_rank.size()).first->second);
+        } else {
+          enc.push_back(t.bits());
+        }
+      }
+    }
+    return enc;
+  }
+
+  void Permute(size_t group) {
+    if (group == groups_.size()) {
+      std::vector<uint64_t> enc = Encode(current_);
+      if (!have_best_ || enc < best_) {
+        best_ = std::move(enc);
+        best_order_ = current_;
+        have_best_ = true;
+      }
+      return;
+    }
+    auto [begin, end] = groups_[group];
+    std::vector<size_t> members(current_.begin() + begin,
+                                current_.begin() + end);
+    std::sort(members.begin(), members.end());
+    do {
+      std::copy(members.begin(), members.end(), current_.begin() + begin);
+      Permute(group + 1);
+    } while (std::next_permutation(members.begin(), members.end()));
+  }
+
+  const std::vector<Atom>& atoms_;
+  bool rename_nulls_;
+  std::unordered_map<Term, uint64_t> color_;
+  std::vector<std::pair<size_t, size_t>> groups_;
+  std::vector<size_t> current_;
+  std::vector<size_t> best_order_;
+  std::vector<uint64_t> best_;
+  bool have_best_ = false;
+};
+
+TEST(CanonicalizeTest, MatchesBruteForceReference) {
+  // The branch-and-bound canonical search on dense term ids must return
+  // the reference's encoding, atoms, hash and renaming, in both modes:
+  // over symmetric states, and over the same states with part of their
+  // variables turned into nulls (rigid, or renamed in sentinel mode).
   Rng rng(20261017);
   for (int round = 0; round < 400; ++round) {
     std::vector<Atom> atoms = RandomSymmetricState(&rng);
-    CanonicalState flat = Canonicalize(atoms);
-    std::unordered_map<Term, Term> mapping;
-    CanonicalState general =
-        CanonicalizeEx(atoms, /*rename_nulls=*/false, &mapping);
-    EXPECT_EQ(flat.encoding, general.encoding) << "round " << round;
-    EXPECT_EQ(flat.atoms, general.atoms) << "round " << round;
-    EXPECT_EQ(flat.hash, general.hash) << "round " << round;
+    if (round % 2 == 1) {
+      for (Atom& a : atoms) {
+        for (Term& t : a.args) {
+          if (t.is_variable() && t.index() % 3 == 0) t = Term::Null(t.index());
+        }
+      }
+    }
+    for (bool rename_nulls : {false, true}) {
+      std::unordered_map<Term, Term> mapping, expected_mapping;
+      CanonicalState actual = Canonicalize(atoms, rename_nulls, &mapping);
+      CanonicalState expected =
+          ReferenceCanonicalizer(atoms, rename_nulls).Run(&expected_mapping);
+      EXPECT_EQ(actual.encoding, expected.encoding) << "round " << round;
+      EXPECT_EQ(actual.atoms, expected.atoms) << "round " << round;
+      EXPECT_EQ(actual.hash, expected.hash) << "round " << round;
+      EXPECT_EQ(mapping, expected_mapping) << "round " << round;
+      EXPECT_EQ(Canonicalize(atoms, rename_nulls), actual) << "round " << round;
+    }
   }
 }
 

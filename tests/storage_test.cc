@@ -160,11 +160,81 @@ TEST(HomomorphismTest, MissingPredicateHasNoMatch) {
       std::vector<Atom>{Atom(ghost, {Term::Variable(0)})}, f.db));
 }
 
-TEST(HomomorphismTest, FlatMatcherAgreesWithEnumeration) {
-  // Differential check of HasHomomorphism's flat matcher against the
-  // enumerating reference: random patterns over random instances, with
-  // repeated variables, constants, (rigid) nulls in the pattern, a
-  // predicate that has no relation, and variable indices past 4096.
+TEST(HomomorphismTest, NestedMatchingKeepsOuterBindings) {
+  // The callback matches again, reusing the outer pattern's variable
+  // indices (the linear search simplifies each match-and-drop child from
+  // inside its callback): both levels must see correct results.
+  Fixture f;
+  std::vector<Atom> pattern = {
+      Atom(f.e, {Term::Variable(0), Term::Variable(1)})};
+  std::vector<std::vector<Term>> seen;
+  ForEachHomomorphism(pattern, f.db, {}, [&](const Substitution& h) {
+    Term x = h.at(Term::Variable(0));
+    Term y = h.at(Term::Variable(1));
+    // Does y have a successor? Only b does.
+    std::vector<Atom> next = {Atom(f.e, {y, Term::Variable(0)})};
+    EXPECT_EQ(HasHomomorphism(next, f.db), y == f.b);
+    int inner = 0;
+    ForEachHomomorphism(next, f.db, {}, [&](const Substitution& g) {
+      EXPECT_EQ(g.at(Term::Variable(0)), f.c);
+      ++inner;
+      return true;
+    });
+    EXPECT_EQ(inner, y == f.b ? 1 : 0);
+    EXPECT_EQ(h.at(Term::Variable(0)), x);
+    EXPECT_EQ(h.at(Term::Variable(1)), y);
+    seen.push_back({x, y});
+    return true;
+  });
+  std::sort(seen.begin(), seen.end());
+  std::vector<std::vector<Term>> expected = {{f.a, f.b}, {f.a, f.c},
+                                             {f.b, f.c}};
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(seen, expected);
+}
+
+/// A match as sorted (term, image) pairs.
+using Match = std::vector<std::pair<Term, Term>>;
+
+Match Flatten(const Substitution& h) {
+  Match match(h.begin(), h.end());
+  std::sort(match.begin(), match.end());
+  return match;
+}
+
+/// Reference enumeration: every combination of one fact per pattern atom,
+/// no index and no join order, keeping the combinations that agree with
+/// `h` (the seed, extended atom by atom).
+void NaiveMatches(const std::vector<Atom>& pattern,
+                  const std::vector<Atom>& facts, size_t i, Substitution h,
+                  std::vector<Match>* out) {
+  if (i == pattern.size()) {
+    out->push_back(Flatten(h));
+    return;
+  }
+  const Atom& atom = pattern[i];
+  for (const Atom& fact : facts) {
+    if (fact.predicate != atom.predicate) continue;
+    Substitution next = h;
+    bool ok = true;
+    for (size_t k = 0; k < atom.args.size() && ok; ++k) {
+      Term image = atom.args[k];
+      if (image.is_variable()) {
+        image = next.try_emplace(image, fact.args[k]).first->second;
+      }
+      ok = image == fact.args[k];
+    }
+    if (ok) NaiveMatches(pattern, facts, i + 1, std::move(next), out);
+  }
+}
+
+TEST(HomomorphismTest, MatcherAgreesWithNaiveEnumeration) {
+  // Differential check of the matcher against the naive reference:
+  // random patterns over random instances, with repeated variables,
+  // constants, (rigid) nulls in the pattern, a predicate that has no
+  // relation, and variable indices past 4096. ForEachHomomorphism must
+  // deliver exactly the reference's matches (as a multiset), with and
+  // without a seed, and HasHomomorphism must say whether there is one.
   // Predicates 0..3 get facts; predicate 4 never has a relation.
   constexpr PredicateId kNoRelation = 4;
   const uint32_t arity[] = {1, 2, 2, 3, 2};
@@ -173,7 +243,7 @@ TEST(HomomorphismTest, FlatMatcherAgreesWithEnumeration) {
     return rng.Chance(0.2) ? Term::Null(rng.Below(2))
                            : Term::Constant(rng.Below(4));
   };
-  int matched = 0, unmatched = 0;
+  int matched = 0, unmatched = 0, seeded = 0;
   for (int round = 0; round < 150; ++round) {
     Instance db;
     size_t facts = rng.Below(20);
@@ -183,6 +253,7 @@ TEST(HomomorphismTest, FlatMatcherAgreesWithEnumeration) {
       for (uint32_t k = 0; k < arity[p]; ++k) args.push_back(rigid());
       db.Insert(Atom(p, std::move(args)));
     }
+    std::vector<Atom> all_facts = db.AllAtoms();
     for (int trial = 0; trial < 20; ++trial) {
       std::vector<Atom> pattern;
       size_t n = 1 + rng.Below(4);
@@ -201,19 +272,37 @@ TEST(HomomorphismTest, FlatMatcherAgreesWithEnumeration) {
         }
         pattern.push_back(Atom(p, std::move(args)));
       }
-      bool expected = false;
-      ForEachHomomorphism(pattern, db, {}, [&expected](const Substitution&) {
-        expected = true;
-        return false;
+      // Seeds bind a pattern variable, or one the pattern lacks.
+      Substitution seed;
+      if (rng.Chance(0.5)) {
+        Term v = pattern[0].args[0];
+        seed.emplace(v.is_variable() ? v : Term::Variable(9), rigid());
+        ++seeded;
+      }
+
+      std::vector<Match> expected;
+      NaiveMatches(pattern, all_facts, 0, seed, &expected);
+      std::sort(expected.begin(), expected.end());
+      std::vector<Match> actual;
+      ForEachHomomorphism(pattern, db, seed, [&actual](const Substitution& h) {
+        actual.push_back(Flatten(h));
+        return true;
       });
-      EXPECT_EQ(HasHomomorphism(pattern, db), expected)
-          << "round " << round << " trial " << trial;
-      ++(expected ? matched : unmatched);
+      std::sort(actual.begin(), actual.end());
+      EXPECT_EQ(actual, expected) << "round " << round << " trial " << trial;
+
+      if (seed.empty()) {
+        EXPECT_EQ(HasHomomorphism(pattern, db), !expected.empty())
+            << "round " << round << " trial " << trial;
+        ++(expected.empty() ? unmatched : matched);
+      }
     }
   }
-  // Both outcomes must be well represented for the check to mean much.
-  EXPECT_GT(matched, 300);
-  EXPECT_GT(unmatched, 300);
+  // Both outcomes, and seeds, must be well represented for the check to
+  // mean much.
+  EXPECT_GT(matched, 150);
+  EXPECT_GT(unmatched, 150);
+  EXPECT_GT(seeded, 1000);
 }
 
 TEST(QueryEvalTest, OutputProjection) {
