@@ -27,7 +27,6 @@ struct SearchContext {
   const Instance& database;
   const ProgramIndex& index;
   ProofSearchCache* cache;
-  SubsumptionIndex* shared_refuted;
   bool subsumption;
   size_t width;
   size_t max_chunk;
@@ -153,18 +152,10 @@ class Searcher {
       // A path-independently refuted state that maps into this one
       // refutes it outright (every proof of this state restricts to one
       // of the subsumer), so the failure is itself path-independent.
-      // Three banks, hottest first: this search's own refutations, the
-      // sweep-shared bank, the session cache's refuted-state index.
+      // Two indexes, hottest first: this search's own refutations, then
+      // the shared cache's refuted-state index.
       if (refuted_subsumers_.FindSubsumer(state, ctx_.width,
                                           ctx_.max_chunk) >= 0) {
-        ++result_->subsumed_discarded;
-        *out = {false, kNoTouch};
-        return true;
-      }
-      if (ctx_.shared_refuted != nullptr &&
-          ctx_.shared_refuted->FindSubsumer(state, ctx_.width,
-                                            ctx_.max_chunk) >= 0) {
-        ++result_->sweep_refuted_hits;
         ++result_->subsumed_discarded;
         *out = {false, kNoTouch};
         return true;
@@ -399,7 +390,6 @@ AlternatingSearchResult AlternatingProofSearch(
                     database,
                     index,
                     cache,
-                    options.subsumption ? options.shared_refuted : nullptr,
                     options.subsumption,
                     width,
                     max_chunk,
@@ -416,30 +406,23 @@ AlternatingSearchResult AlternatingProofSearch(
   Searcher searcher(ctx, &result);
   result.accepted = searcher.Prove(std::move(*frozen));
 
-  // Deferred flush, in finalize order: the session cache and the
-  // sweep-shared bank are only probed while the search runs, and every
-  // proven / path-independently refuted state it established lands here.
-  // Budget-cut branches recorded nothing (Finalize's guard), so exhausted
-  // searches deposit no refutation certificate for anything they gave up
-  // on.
-  for (const Record& record : searcher.records()) {
-    if (record.proven) {
-      if (cache != nullptr) {
+  // Deferred flush, in finalize order: the shared cache is only probed
+  // while the search runs, and every proven / path-independently refuted
+  // state it established lands here. Budget-cut branches recorded nothing
+  // (Finalize's guard), so exhausted searches deposit no refutation
+  // certificate for anything they gave up on.
+  if (cache != nullptr) {
+    for (const Record& record : searcher.records()) {
+      if (record.proven) {
         cache->AltRecordProven(*record.state, width, max_chunk);
+      } else {
+        cache->AltRecordRefuted(*record.state, width, max_chunk);
       }
-      continue;
-    }
-    if (cache != nullptr) {
-      cache->AltRecordRefuted(*record.state, width, max_chunk);
-    }
-    if (ctx.shared_refuted != nullptr) {
-      ctx.shared_refuted->Add(*record.state, width, max_chunk);
     }
   }
   if (options.metrics != nullptr) {
     options.metrics->RecordSearch(result.states_expanded, result.cache_hits,
                                   result.subsumed_discarded,
-                                  result.sweep_refuted_hits,
                                   result.budget_exhausted);
   }
   return result;

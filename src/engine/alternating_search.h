@@ -46,7 +46,6 @@ struct AlternatingSearchResult {
   uint64_t refuted_cached = 0;
   uint64_t cache_hits = 0;  // sub-searches skipped via the shared cache
   uint64_t subsumed_discarded = 0;  // refuted via subsumption, unexpanded
-  uint64_t sweep_refuted_hits = 0;  // refuted via options.shared_refuted
   size_t peak_state_bytes = 0;
   size_t node_width_used = 0;
 };

@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "engine/search_cache.h"
-#include "engine/subsumption.h"
 #include "storage/homomorphism.h"
 
 namespace vadalog {
@@ -113,20 +112,15 @@ CertainAnswerSet CertainAnswersViaSearchChecked(
 
   // All candidates run against one shared memoization cache: the frozen
   // constants differ per candidate but the derived canonical states
-  // largely recur, so refutation work is paid once across the sweep. One
-  // sweep-shared SubsumptionIndex rides along: completed refutations bank
-  // their visited subtrees there, and every later candidate's search
-  // discards frontier states a banked state maps into — subsumption-based
-  // transfer on top of the cache's exact-match tables.
+  // largely recur, so refutation work is paid once across the sweep.
+  // Completed refutations record their states in the cache, and every
+  // later candidate's search discards states a recorded one maps into
+  // (exact-match tables plus the cache's refuted-state subsumption index).
   std::optional<ProofSearchCache> local_cache;
-  SubsumptionIndex sweep_refuted;
   ProofSearchOptions effective = options;
   if (effective.cache == nullptr) {
     local_cache.emplace(program, database);
     effective.cache = &*local_cache;
-  }
-  if (effective.shared_refuted == nullptr && effective.subsumption) {
-    effective.shared_refuted = &sweep_refuted;
   }
   for (const std::vector<Term>& candidate : candidates) {
     bool certain = false;

@@ -78,7 +78,6 @@ class LinearSearcher {
         database_(database),
         index_(index),
         cache_(options.cache),
-        shared_refuted_(options.shared_refuted),
         subsumption_(options.subsumption),
         width_(width),
         max_chunk_(max_chunk),
@@ -167,17 +166,6 @@ class LinearSearcher {
         } else {
           ++result_->subsumed_discarded;
         }
-        visited_subsumers_.Suppress(entry.ordinal);
-        continue;
-      }
-      // The sweep-shared bank first: in a warm session it is the small,
-      // hot index (this sweep's refutations) in front of the session
-      // cache's larger, older one.
-      if (shared_refuted_ != nullptr &&
-          shared_refuted_->FindSubsumer(*entry.state, width_, max_chunk_) >=
-              0) {
-        ++result_->sweep_refuted_hits;
-        ++result_->subsumed_discarded;
         visited_subsumers_.Suppress(entry.ordinal);
         continue;
       }
@@ -379,15 +367,10 @@ class LinearSearcher {
       // already known refuted, or subsumed by another visited state. A
       // budget-exhausted (or accepted) run records nothing — an aborted
       // refutation is not a refutation certificate. Certificates go to
-      // the session cache (exact, interned, long-lived) and to the
-      // sweep-shared subsumption bank (full states, sweep-lived), in
-      // first-visit order.
-      for (const CanonicalState* state : visit_order_) {
-        if (cache_ != nullptr) {
+      // the shared cache, in first-visit order.
+      if (cache_ != nullptr) {
+        for (const CanonicalState* state : visit_order_) {
           cache_->LinearRecordRefuted(*state, width_, max_chunk_);
-        }
-        if (shared_refuted_ != nullptr) {
-          shared_refuted_->Add(*state, width_, max_chunk_);
         }
       }
     }
@@ -410,7 +393,6 @@ class LinearSearcher {
   const Instance& database_;
   const ProgramIndex& index_;
   ProofSearchCache* cache_;
-  SubsumptionIndex* shared_refuted_;
   const bool subsumption_;
   const size_t width_;
   const size_t max_chunk_;
@@ -480,7 +462,6 @@ ProofSearchResult LinearProofSearch(const Program& program,
   if (options.metrics != nullptr) {
     options.metrics->RecordSearch(result.states_expanded, result.cache_hits,
                                   result.subsumed_discarded,
-                                  result.sweep_refuted_hits,
                                   result.budget_exhausted);
   }
   return result;

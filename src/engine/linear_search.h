@@ -44,7 +44,6 @@ struct EngineCounters;
 }  // namespace obs
 
 class ProofSearchCache;
-class SubsumptionIndex;
 
 struct ProofSearchOptions {
   /// Maximum atoms per CQ state. 0 = derive f_WARD∩PWL(q, Σ) from the
@@ -76,19 +75,11 @@ struct ProofSearchOptions {
   /// Optional memoization shared across searches. Must have been built
   /// for the exact same (program, database) pair, or results are unsound.
   /// The cache also supplies the precomputed relevance index; without it a
-  /// local index is built per call.
+  /// local index is built per call. It is the only path by which
+  /// refutations transfer across searches: a completed refutation records
+  /// its states there, and later searches discard any state a recorded
+  /// one maps homomorphically into.
   ProofSearchCache* cache = nullptr;
-
-  /// Optional refutation bank shared across the candidate searches of one
-  /// CertainAnswersViaSearch sweep (or one daemon session): completed
-  /// refutations deposit their visited states here, and later searches
-  /// discard any frontier state a banked state maps homomorphically into.
-  /// Like `cache`, it is only sound for the exact (program, database)
-  /// pair it was filled against. The linear BFS deposits on completed
-  /// refutations only; the alternating search uses it in place of its
-  /// per-search refuted-state index (path-independent entries are valid
-  /// sweep-wide).
-  SubsumptionIndex* shared_refuted = nullptr;
 
   /// Optional registry counter handles (obs/metrics.h) the search
   /// flushes its end-of-search totals into — once, at completion; the
@@ -108,7 +99,6 @@ struct ProofSearchResult {
   uint64_t cache_hits = 0;        // successors skipped via the shared cache
   uint64_t subsumed_discarded = 0;  // successors pruned by subsumption
   uint64_t states_retired = 0;      // queued states retired unexpanded
-  uint64_t sweep_refuted_hits = 0;  // pruned via options.shared_refuted
   /// Hom checks paid by this search's own visited-state subsumption index
   /// (checks inside a shared cache's index are accounted there, across
   /// all searches using it — not here).

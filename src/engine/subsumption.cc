@@ -84,10 +84,8 @@ int64_t SubsumptionIndex::FindSubsumer(const CanonicalState& state,
   uint64_t gate_hits = stats_.hits.load(std::memory_order_relaxed);
   if (gate_checks >= kAdaptiveProbation &&
       gate_checks > gate_hits * kMaxChecksPerHit) {
-    stats_.disabled_skips.fetch_add(1, std::memory_order_relaxed);
     return -1;
   }
-  stats_.queries.fetch_add(1, std::memory_order_relaxed);
   uint64_t state_mask = MaskOf(state.atoms);
   uint64_t state_rigid = RigidMaskOf(state.atoms);
   // The subsumer's predicates are a subset of the state's, so its
@@ -106,7 +104,6 @@ int64_t SubsumptionIndex::FindSubsumer(const CanonicalState& state,
   // they get the capped hom-check budget. The counters are bumped once
   // per query, after the scan.
   uint64_t checks = 0;
-  bool capped = false;
   auto scan = [&]() -> int64_t {
     size_t same_size_layer = state.atoms.size() - 1;
     for (size_t layer = 0; layer <= same_size_layer; ++layer) {
@@ -122,10 +119,7 @@ int64_t SubsumptionIndex::FindSubsumer(const CanonicalState& state,
           if ((entry.mask & ~state_mask) != 0) continue;
           if ((entry.rigid_mask & ~state_rigid) != 0) continue;
           if (entry.width < width || entry.chunk < chunk) continue;
-          if (checks >= kMaxHomChecksPerQuery) {
-            capped = true;
-            return -1;
-          }
+          if (checks >= kMaxHomChecksPerQuery) return -1;
           ++checks;
           if (HasStateHomomorphism(entry.atoms, state.atoms)) {
             return static_cast<int64_t>(id);
@@ -138,7 +132,6 @@ int64_t SubsumptionIndex::FindSubsumer(const CanonicalState& state,
   int64_t found = scan();
   stats_.hom_checks.fetch_add(checks, std::memory_order_relaxed);
   if (found >= 0) stats_.hits.fetch_add(1, std::memory_order_relaxed);
-  if (capped) stats_.capped.fetch_add(1, std::memory_order_relaxed);
   return found;
 }
 

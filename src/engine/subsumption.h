@@ -24,8 +24,8 @@
 // subsumer only prunes a search exploring no more than the recording one.
 //
 // Thread safety: NOT internally synchronized — a SubsumptionIndex is
-// either owned by a single search or sweep (the per-search visited banks,
-// the sweep-shared refutation bank) or embedded in a ProofSearchCache,
+// either owned by a single search (the linear visited-state index, the
+// alternating refuted-state index) or embedded in a ProofSearchCache,
 // whose reader-writer capability guards it (the banks are GUARDED_BY the
 // cache mutex, so clang -Wthread-safety checks every access).
 // FindSubsumer only reads the entries and bumps relaxed-atomic counters,
@@ -52,13 +52,8 @@ class SubsumptionIndex {
   int64_t Add(const CanonicalState& state, size_t width, size_t chunk);
 
   struct Stats {
-    std::atomic<uint64_t> queries{0};
     std::atomic<uint64_t> hom_checks{0};
     std::atomic<uint64_t> hits{0};
-    // Queries that hit the per-query hom-check cap.
-    std::atomic<uint64_t> capped{0};
-    // Queries skipped by the adaptive gate.
-    std::atomic<uint64_t> disabled_skips{0};
   };
 
   /// Finds a registered state with a bound covering (width, chunk) and no

@@ -115,9 +115,6 @@ EngineCounters MakeEngineCounters(MetricsRegistry* registry,
   counters.subsumed_discarded = registry->GetCounter(
       "vadalog_search_subsumed_total", labels,
       "states discarded by subsumption pruning");
-  counters.sweep_refuted_hits = registry->GetCounter(
-      "vadalog_search_sweep_refuted_hits_total", labels,
-      "states pruned via the sweep-shared refutation bank");
   counters.budget_exhausted = registry->GetCounter(
       "vadalog_search_budget_exhausted_total", labels,
       "searches that gave up on a state or time budget");

@@ -243,16 +243,14 @@ struct EngineCounters {
   Counter* states_expanded = nullptr;
   Counter* cache_hits = nullptr;
   Counter* subsumed_discarded = nullptr;
-  Counter* sweep_refuted_hits = nullptr;
   Counter* budget_exhausted = nullptr;
 
   void RecordSearch(uint64_t expanded, uint64_t hits, uint64_t subsumed,
-                    uint64_t sweep_hits, bool exhausted) const {
+                    bool exhausted) const {
     if (searches != nullptr) searches->Add(1);
     if (states_expanded != nullptr) states_expanded->Add(expanded);
     if (cache_hits != nullptr) cache_hits->Add(hits);
     if (subsumed_discarded != nullptr) subsumed_discarded->Add(subsumed);
-    if (sweep_refuted_hits != nullptr) sweep_refuted_hits->Add(sweep_hits);
     if (exhausted && budget_exhausted != nullptr) budget_exhausted->Add(1);
   }
 };

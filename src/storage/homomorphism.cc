@@ -4,6 +4,7 @@
 #include <memory>
 #include <set>
 #include <span>
+#include <unordered_map>
 
 namespace vadalog {
 namespace {
@@ -361,6 +362,7 @@ namespace {
 /// indexed by variable index (states are canonically renamed, so indices
 /// are small and dense); candidate lists are one flat arena.
 struct StateHomScratch {
+  // Variable indices at or past this are renumbered densely first.
   static constexpr uint64_t kMaxVar = 4096;
   std::vector<Term> binding;        // per from-variable index
   std::vector<char> bound;          // per from-variable index
@@ -404,20 +406,43 @@ bool MatchStateFrom(const std::vector<Atom>& from, StateHomScratch* s,
   return false;
 }
 
+/// Renames the variables of `from` to 0, 1, ... in first-occurrence
+/// order (a bijection, so homomorphisms out of it are unchanged). Returns
+/// the largest new index; `from` must contain a variable.
+uint64_t RenumberVariablesDensely(const std::vector<Atom>& from,
+                                  std::vector<Atom>* dense) {
+  std::unordered_map<uint64_t, uint64_t> renaming;
+  *dense = from;
+  for (Atom& a : *dense) {
+    for (Term& t : a.args) {
+      if (!t.is_variable()) continue;
+      t = Term::Variable(
+          renaming.try_emplace(t.index(), renaming.size()).first->second);
+    }
+  }
+  return renaming.size() - 1;
+}
+
 }  // namespace
 
-bool HasStateHomomorphism(const std::vector<Atom>& from,
+bool HasStateHomomorphism(const std::vector<Atom>& original_from,
                           const std::vector<Atom>& onto) {
-  if (from.empty()) return true;
+  if (original_from.empty()) return true;
   uint64_t max_var = 0;
-  for (const Atom& a : from) {
+  for (const Atom& a : original_from) {
     for (Term t : a.args) {
       if (t.is_variable()) max_var = std::max(max_var, t.index());
     }
   }
-  // Proof states are canonically renamed, so this never triggers there;
-  // it guards arbitrary callers against unbounded scratch growth.
-  if (max_var >= StateHomScratch::kMaxVar) return false;
+  // Proof states are canonically renamed, so their indices are small and
+  // match in place. Larger indices are renumbered densely first: the
+  // scratch is indexed by variable, so it then grows with the number of
+  // distinct variables, never with their indices.
+  std::vector<Atom> dense;
+  if (max_var >= StateHomScratch::kMaxVar) {
+    max_var = RenumberVariablesDensely(original_from, &dense);
+  }
+  const std::vector<Atom>& from = dense.empty() ? original_from : dense;
 
   static thread_local StateHomScratch scratch;
   StateHomScratch* s = &scratch;

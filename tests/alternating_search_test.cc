@@ -10,7 +10,6 @@
 #include "engine/alternating_search.h"
 #include "engine/certain.h"
 #include "engine/search_cache.h"
-#include "engine/subsumption.h"
 
 namespace vadalog {
 namespace {
@@ -232,8 +231,7 @@ TEST(AlternatingSearchTest, DeepChainRefutationAgrees) {
 
 // Budget-exhausted searches must never deposit refutation certificates:
 // the branch that hit the cut was not fully explored, so nothing it gave
-// up on may later masquerade as refuted in the session cache or the
-// sweep-shared bank.
+// up on may later masquerade as refuted in the shared cache.
 TEST(AlternatingSearchTest, BudgetExhaustedRecordsNoCertificates) {
   TestEnv s(R"(
     t(X, Y) :- e(X, Y).
@@ -242,17 +240,14 @@ TEST(AlternatingSearchTest, BudgetExhaustedRecordsNoCertificates) {
     ?(X) :- t(a, X).
   )");
   ProofSearchCache cache(s.program, s.db);
-  SubsumptionIndex bank;
   ProofSearchOptions options;
   options.cache = &cache;
-  options.shared_refuted = &bank;
   options.max_states = 1;
   AlternatingSearchResult result = AlternatingProofSearch(
       s.program, s.db, s.Query(), {s.Const("zz")}, options);
   EXPECT_FALSE(result.accepted);
   EXPECT_TRUE(result.budget_exhausted);
   EXPECT_EQ(cache.alt_refuted_size(), 0u);
-  EXPECT_EQ(bank.size(), 0u);
 }
 
 // The sequential machine's verdicts and counters are pinned: a change in
@@ -300,7 +295,6 @@ TEST(AlternatingSearchTest, SequentialMachineCountersArePinned) {
     EXPECT_EQ(r.refuted_cached, pin.refuted_cached);
     EXPECT_EQ(r.subsumed_discarded, pin.subsumed_discarded);
     EXPECT_EQ(r.cache_hits, 0u);
-    EXPECT_EQ(r.sweep_refuted_hits, 0u);
     EXPECT_EQ(r.peak_state_bytes, pin.peak_state_bytes);
     EXPECT_EQ(r.node_width_used, 4u);
   }

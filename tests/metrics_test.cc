@@ -160,12 +160,12 @@ TEST(MetricsTest, EngineCountersFlushNullSafely) {
   // engines call RecordSearch unconditionally when options.metrics is
   // set, and partial wiring must not crash.
   obs::EngineCounters counters;
-  counters.RecordSearch(10, 2, 3, 1, true);
+  counters.RecordSearch(10, 2, 3, true);
   obs::MetricsRegistry registry;
   obs::EngineCounters wired =
       obs::MakeEngineCounters(&registry, {{"session", "s"}});
-  wired.RecordSearch(10, 2, 3, 1, true);
-  wired.RecordSearch(5, 0, 0, 0, false);
+  wired.RecordSearch(10, 2, 3, true);
+  wired.RecordSearch(5, 0, 0, false);
   std::vector<obs::Sample> samples = registry.Snapshot();
   const obs::Sample* searches =
       FindSample(samples, "vadalog_search_total");

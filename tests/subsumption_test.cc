@@ -83,6 +83,23 @@ TEST(StateHomomorphismTest, NonInjectiveMapsAllowed) {
       {A(kP, {x, y}), A(kP, {y, x})}, {A(kP, {u, u})}));
 }
 
+TEST(StateHomomorphismTest, LargeVariableIndicesAreExact) {
+  // Indices past the flat scratch range are renumbered, not refused: the
+  // answer stays "true iff a homomorphism exists".
+  Term c = Term::Constant(0);
+  Term d = Term::Constant(1);
+  Term big = Term::Variable(5000);
+  EXPECT_TRUE(HasStateHomomorphism({A(kP, {big})}, {A(kP, {c})}));
+  EXPECT_FALSE(HasStateHomomorphism({A(kP, {big, big})}, {A(kP, {c, d})}));
+  EXPECT_TRUE(HasStateHomomorphism({A(kP, {big, big})}, {A(kP, {d, d})}));
+  Term huge = Term::Variable((uint64_t{1} << 40) + 3);
+  Term small = Term::Variable(0);
+  EXPECT_TRUE(HasStateHomomorphism({A(kP, {huge, small}), A(kQ, {small})},
+                                   {A(kP, {c, d}), A(kQ, {d})}));
+  EXPECT_FALSE(HasStateHomomorphism({A(kP, {huge, small}), A(kQ, {huge})},
+                                    {A(kP, {c, d}), A(kQ, {d})}));
+}
+
 TEST(SubsumptionIndexTest, FindsRegisteredSubsumerAndRespectsBounds) {
   SubsumptionIndex index;
   CanonicalState general =
@@ -162,11 +179,11 @@ TEST(SearchCacheSubsumptionTest, RefutedStatesTransferToSubsumedStates) {
   EXPECT_FALSE(cache.LinearRefutedBySubsumption(superset, 4, 3));
 }
 
-TEST(SweepSharedSubsumptionTest, CompletedRefutationsBankAcrossSearches) {
-  // A sweep-shared SubsumptionIndex (ProofSearchOptions.shared_refuted)
-  // carries refutation subtrees across candidate searches even with no
-  // cache at all: candidate 1's completed refutation banks its visited
-  // states; candidate 2's search discards subsumed frontier states.
+TEST(CacheRefutationTransferTest, CompletedLinearRefutationsTransfer) {
+  // The shared ProofSearchCache is the one path by which refutations
+  // carry across candidate searches: candidate 1's completed refutation
+  // records its visited states there; candidate 2's search discards
+  // frontier states a recorded one maps into.
   ParseResult parsed = ParseProgram(R"(
     t(X, Y) :- e(X, Y).
     t(X, Z) :- e(X, Y), t(Y, Z).
@@ -185,38 +202,37 @@ TEST(SweepSharedSubsumptionTest, CompletedRefutationsBankAcrossSearches) {
   query.output = {Term::Variable(0)};
   query.atoms = {Atom(t, {Term::Variable(0), a})};
 
-  SubsumptionIndex bank;
+  ProofSearchCache cache(program, db);
   ProofSearchOptions options;
-  options.shared_refuted = &bank;
+  options.cache = &cache;
   ProofSearchResult first = LinearProofSearch(program, db, query, {a},
                                               options);
   EXPECT_FALSE(first.accepted);
   EXPECT_FALSE(first.budget_exhausted);
-  EXPECT_GT(bank.size(), 0u);  // the refutation banked its visited states
+  EXPECT_GT(cache.linear_refuted_size(), 0u);  // the refutation recorded
 
   ProofSearchResult second = LinearProofSearch(
       program, db, query, {program.symbols().InternConstant("b")}, options);
   EXPECT_FALSE(second.accepted);
-  EXPECT_GT(second.sweep_refuted_hits, 0u);
+  EXPECT_GT(second.cache_hits, 0u);
   EXPECT_LT(second.states_visited, first.states_visited);
 
-  // An accepted search must NOT bank (its visited states are not
+  // An accepted search must NOT record (its visited states are not
   // refuted): t(a, X) with answer b is certain.
-  SubsumptionIndex accept_bank;
+  ProofSearchCache accept_cache(program, db);
   ProofSearchOptions accept_options;
-  accept_options.shared_refuted = &accept_bank;
+  accept_options.cache = &accept_cache;
   ConjunctiveQuery reach;
   reach.output = {Term::Variable(0)};
-  reach.atoms = {
-      Atom(t, {program.symbols().InternConstant("a"), Term::Variable(0)})};
+  reach.atoms = {Atom(t, {a, Term::Variable(0)})};
   ProofSearchResult accepted = LinearProofSearch(
       program, db, reach, {program.symbols().InternConstant("b")},
       accept_options);
   EXPECT_TRUE(accepted.accepted);
-  EXPECT_EQ(accept_bank.size(), 0u);
+  EXPECT_EQ(accept_cache.linear_refuted_size(), 0u);
 }
 
-TEST(SweepSharedSubsumptionTest, AlternatingSearchSharesOneIndex) {
+TEST(CacheRefutationTransferTest, AlternatingRefutationsTransfer) {
   ParseResult parsed = ParseProgram(R"(
     t(X, Y) :- e(X, Y).
     t(X, Z) :- e(X, Y), t(Y, Z).
@@ -232,25 +248,43 @@ TEST(SweepSharedSubsumptionTest, AlternatingSearchSharesOneIndex) {
   query.output = {Term::Variable(0)};
   query.atoms = {Atom(t, {Term::Variable(0), a})};  // t(X, a): no answers
 
-  SubsumptionIndex bank;
+  ProofSearchCache cache(program, db);
   ProofSearchOptions options;
-  options.shared_refuted = &bank;
+  options.cache = &cache;
   AlternatingSearchResult first =
       AlternatingProofSearch(program, db, query, {a}, options);
   EXPECT_FALSE(first.accepted);
-  size_t banked = bank.size();
-  EXPECT_GT(banked, 0u);  // path-independent refutations registered
+  EXPECT_FALSE(first.budget_exhausted);
+  EXPECT_GT(cache.alt_refuted_size(), 0u);  // path-independent refutations
 
   AlternatingSearchResult second = AlternatingProofSearch(
       program, db, query, {program.symbols().InternConstant("b")}, options);
   EXPECT_FALSE(second.accepted);
-  EXPECT_GT(second.sweep_refuted_hits + second.subsumed_discarded, 0u);
+  EXPECT_GT(second.cache_hits, 0u);
+
+  // An accepted search records its goal as proven, never as refuted.
+  // (Unlike the linear BFS it may still record refuted sub-goals: a
+  // path-independent refutation is a certificate wherever it occurs.)
+  ProofSearchCache accept_cache(program, db);
+  ProofSearchOptions accept_options;
+  accept_options.cache = &accept_cache;
+  Term c = program.symbols().InternConstant("c");
+  ConjunctiveQuery reach;
+  reach.output = {Term::Variable(0)};
+  reach.atoms = {Atom(t, {a, Term::Variable(0)})};
+  AlternatingSearchResult accepted =
+      AlternatingProofSearch(program, db, reach, {c}, accept_options);
+  EXPECT_TRUE(accepted.accepted);
+  CanonicalState goal = Canonicalize({Atom(t, {a, c})});
+  size_t width = accepted.node_width_used;
+  EXPECT_TRUE(accept_cache.AltKnownProven(goal, width, width));
+  EXPECT_FALSE(accept_cache.AltKnownRefuted(goal, width, width));
 }
 
-TEST(SweepSharedSubsumptionTest, SweepMatchesUnsharedAnswersExactly) {
-  // The sweep in CertainAnswersViaSearchChecked installs the shared bank
-  // by default; its answers must be identical to chase enumeration for
-  // both engines (exactness of the pruning).
+TEST(CacheRefutationTransferTest, SweepMatchesUnsharedAnswersExactly) {
+  // The sweep in CertainAnswersViaSearchChecked runs every candidate
+  // against one shared cache; its answers must be identical to chase
+  // enumeration for both engines (exactness of the cross-search pruning).
   ParseResult parsed = ParseProgram(R"(
     t(X, Y) :- e(X, Y).
     t(X, Z) :- e(X, Y), t(Y, Z).
