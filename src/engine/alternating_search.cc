@@ -14,7 +14,6 @@
 #include "engine/state.h"
 #include "engine/subsumption.h"
 #include "obs/metrics.h"
-#include "storage/homomorphism.h"
 
 namespace vadalog {
 namespace {
@@ -69,9 +68,10 @@ class Searcher {
       : ctx_(ctx), result_(result) {}
 
   bool Prove(std::vector<Atom> atoms) {
-    std::vector<char> dirty(atoms.size(), 1);
+    child_.atoms = std::move(atoms);
+    child_.dirty.assign(child_.atoms.size(), 1);
     Outcome out;
-    if (Gate(std::move(atoms), std::move(dirty), &out)) return out.proven;
+    if (Gate(&out)) return out.proven;
     return RunMachine().proven;
   }
 
@@ -90,27 +90,33 @@ class Searcher {
     bool is_and = false;
     // AND node: variable-disjoint components, proved in order.
     std::vector<std::vector<Atom>> components;
-    // OR node: match-and-drop children (one per homomorphism of the
-    // selected atom), then chunk resolvents per relevance-bucket TGD,
-    // generated lazily one TGD at a time like the recursive engine.
-    std::vector<Substitution> homs;
-    std::vector<Atom> rest;
+    // OR node: match-and-drop children (one per database row the
+    // selected atom matches), then chunk resolvents per relevance-bucket
+    // TGD, generated lazily one TGD at a time like the recursive engine.
+    DropPlan drop;
     std::vector<char> rest_dirty;
     std::vector<int> component_ids;
     std::vector<Resolvent> resolvents;
     const std::vector<size_t>* tgds = nullptr;
     uint64_t fresh_base = 0;
     uint32_t selected = 0;
-    uint32_t next_child = 0;  // component / homomorphism cursor
+    uint32_t next_child = 0;  // component / match cursor
     uint32_t next_tgd = 0;
     uint32_t next_resolvent = 0;
   };
 
-  /// Simplifies, canonicalizes and memo-checks one child goal. Returns
-  /// true when the goal is decided on the spot (`*out` set); otherwise
-  /// pushes the expansion frame and returns false.
-  bool Gate(std::vector<Atom> atoms, std::vector<char> dirty, Outcome* out) {
-    EagerSimplifyIncremental(&atoms, ctx_.database, &dirty);
+  /// Decides or expands the child goal in `child_` through the stages
+  /// dead → simplify → width → encode → probe → materialize (the child's
+  /// buffers are consumed as scratch). Returns true when the goal is
+  /// decided on the spot (`*out` set); otherwise pushes the expansion
+  /// frame and returns false.
+  bool Gate(Outcome* out) {
+    std::vector<Atom>& atoms = child_.atoms;
+    if (ctx_.index.StateIsDead(atoms, ctx_.database)) {
+      *out = {false, kNoTouch};
+      return true;
+    }
+    EagerSimplifyIncremental(&atoms, ctx_.database, &child_.dirty);
     if (atoms.empty()) {
       *out = {true, kNoTouch};
       return true;
@@ -119,12 +125,8 @@ class Searcher {
       *out = {false, kNoTouch};
       return true;
     }
-    if (ctx_.index.StateIsDead(atoms, ctx_.database)) {
-      *out = {false, kNoTouch};
-      return true;
-    }
 
-    CanonicalState state = Canonicalize(std::move(atoms));
+    CanonicalState state = CanonicalEncoding(atoms);
     result_->peak_state_bytes =
         std::max(result_->peak_state_bytes, state.ApproximateBytes());
 
@@ -148,6 +150,7 @@ class Searcher {
         return true;
       }
     }
+    DecodeAtoms(&state);  // the remaining probes and the frame need atoms
     if (ctx_.subsumption) {
       // A path-independently refuted state that maps into this one
       // refutes it outright (every proof of this state restricts to one
@@ -213,19 +216,13 @@ class Searcher {
       const Atom& pivot = state.atoms[f.selected];
       f.component_ids = ComponentIds(state.atoms);
       int pivot_component = f.component_ids[f.selected];
-      f.rest.reserve(state.atoms.size() - 1);
       f.rest_dirty.reserve(state.atoms.size() - 1);
       for (size_t i = 0; i < state.atoms.size(); ++i) {
         if (i == f.selected) continue;
-        f.rest.push_back(state.atoms[i]);
         f.rest_dirty.push_back(
             f.component_ids[i] == pivot_component ? 1 : 0);
       }
-      ForEachHomomorphism({pivot}, ctx_.database, {},
-                          [&f](const Substitution& h) {
-                            f.homs.push_back(h);
-                            return true;
-                          });
+      f.drop.Plan(state.atoms, f.selected, ctx_.index, ctx_.database);
       uint64_t fresh_base = 0;
       for (const Atom& a : state.atoms) {
         for (Term t : a.args) {
@@ -253,22 +250,25 @@ class Searcher {
       child->dirty.assign(child->atoms.size(), 0);
       return true;
     }
-    // Match-and-drop children. The homomorphisms were copied out whole at
-    // expansion (ForEachHomomorphism enumerates through a callback and
-    // refills one substitution per match): when a child proves early this
-    // pays for matches no child uses, but refutations — the expensive
-    // case — enumerate everything either way. The list is freed as soon
-    // as it is drained so deep proofs don't pin one hom list per live
-    // frame.
-    if (f->next_child < f->homs.size()) {
-      const Substitution& h = f->homs[f->next_child++];
-      child->atoms = ApplySubstitution(h, f->rest);
-      child->dirty = f->rest_dirty;
-      if (f->next_child >= f->homs.size()) {
-        std::vector<Substitution>().swap(f->homs);
-        f->next_child = 0;  // homs drained; cursor no longer consulted
+    // Match-and-drop children, dead-first: a child with a dead atom
+    // would fail at the gate without side effects, so it is skipped
+    // unbuilt. The matched rows were planned whole at expansion: when a
+    // child proves early this pays for matches no child uses, but
+    // refutations — the expensive case — enumerate everything either
+    // way. The plan is freed as soon as it is drained so deep proofs
+    // don't pin one per live frame.
+    while (f->next_child < f->drop.size()) {
+      size_t k = f->next_child++;
+      bool live = !f->drop.ChildIsDead(k);
+      if (live) {
+        f->drop.BuildChild(k, &child->atoms);
+        child->dirty = f->rest_dirty;
       }
-      return true;
+      if (f->next_child >= f->drop.size()) {
+        f->drop = DropPlan();
+        f->next_child = 0;  // drained; the cursor is no longer consulted
+      }
+      if (live) return true;
     }
     while (true) {
       if (f->next_resolvent < f->resolvents.size()) {
@@ -281,10 +281,11 @@ class Searcher {
       if (f->tgds == nullptr || f->next_tgd >= f->tgds->size()) {
         return false;
       }
-      f->resolvents =
-          ResolveWithTgd(f->state.atoms, ctx_.program,
-                         (*f->tgds)[f->next_tgd++], f->fresh_base,
-                         ctx_.max_chunk, f->selected);
+      // Dead resolvents are dropped unbuilt, like dead match children.
+      ResolveWithTgd(f->state.atoms, ctx_.program, ctx_.index,
+                     ctx_.database, (*f->tgds)[f->next_tgd++],
+                     f->fresh_base, ctx_.max_chunk, f->selected,
+                     &f->resolvents);
       f->next_resolvent = 0;
     }
   }
@@ -335,12 +336,10 @@ class Searcher {
           continue;
         }
       }
-      ChildState child;
-      if (NextChild(&f, &child)) {
+      if (NextChild(&f, &child_)) {
         // Gate may push a frame (invalidating `f`; not touched after) or
         // decide the child outright.
-        have_outcome =
-            Gate(std::move(child.atoms), std::move(child.dirty), &out);
+        have_outcome = Gate(&out);
       } else {
         // Children exhausted: every component proven (AND), or every
         // alternative failed (OR).
@@ -361,6 +360,7 @@ class Searcher {
   std::unordered_set<CanonicalState, CanonicalStateHash> refuted_;
   std::vector<Record> log_;
   SubsumptionIndex refuted_subsumers_;  // this search's own refutations
+  ChildState child_;  // the child being gated; its buffers are reused
 };
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include "engine/state.h"
 #include "engine/subsumption.h"
 #include "obs/metrics.h"
-#include "storage/homomorphism.h"
 
 namespace vadalog {
 namespace {
@@ -97,10 +96,10 @@ class LinearSearcher {
       // The initial state goes through the same pipeline with a synthetic
       // kStart edge and an all-dirty certificate.
       ExpandOutput seed;
-      std::vector<char> dirty(frozen.size(), 1);
+      dirty_.assign(frozen.size(), 1);
       ProofStep start;
       start.kind = ProofStep::Kind::kStart;
-      MakeCandidate(std::move(frozen), &dirty, std::move(start), &seed);
+      MakeCandidate(&frozen, &dirty_, std::move(start), &seed);
       std::vector<const CanonicalState*> no_parent = {nullptr};
       std::vector<ExpandOutput*> seed_outputs = {&seed};
       MergeOutputs(no_parent, seed_outputs, &level);
@@ -204,37 +203,36 @@ class LinearSearcher {
   }
 
   /// Expands one canonical state: match-and-drop plus anchored chunk
-  /// resolutions through the selected atom.
+  /// resolutions through the selected atom. Both generators are
+  /// dead-first (a dead successor is counted as an edge but never built),
+  /// and every buffer here is reused from one expansion to the next.
   void ExpandState(const CanonicalState& state, ExpandOutput* out) {
     size_t selected = SelectAtom(state.atoms, database_);
-    const Atom& pivot = state.atoms[selected];
-    std::vector<int> components = ComponentIds(state.atoms);
-    int pivot_component = components[selected];
+    ComponentIds(state.atoms, &components_);
+    int pivot_component = components_[selected];
 
-    // Match-and-drop: each homomorphism of the selected atom into the
-    // database is one specialization guess; the atom becomes a leaf. Only
-    // the pivot's component loses an atom, so only its remnants need
+    // Match-and-drop: each database row the selected atom matches is one
+    // specialization guess; the atom becomes a leaf. Only the pivot's
+    // component loses an atom, so only its remnants need
     // re-simplification (the bindings touch no other component).
-    std::vector<Atom> rest;
-    std::vector<char> rest_dirty;
-    rest.reserve(state.atoms.size() - 1);
-    rest_dirty.reserve(state.atoms.size() - 1);
+    drop_.Plan(state.atoms, selected, index_, database_);
+    rest_dirty_.clear();
     for (size_t i = 0; i < state.atoms.size(); ++i) {
       if (i == selected) continue;
-      rest.push_back(state.atoms[i]);
-      rest_dirty.push_back(components[i] == pivot_component ? 1 : 0);
+      rest_dirty_.push_back(components_[i] == pivot_component ? 1 : 0);
     }
-    std::vector<char> dirty;
-    ForEachHomomorphism({pivot}, database_, {}, [&](const Substitution& h) {
+    for (size_t k = 0; k < drop_.size(); ++k) {
       ++out->drop_edges;
+      if (drop_.ChildIsDead(k)) continue;
       ProofStep step;
       step.kind = ProofStep::Kind::kMatchDrop;
-      step.matched_fact = ApplySubstitution(h, pivot);
-      dirty = rest_dirty;
-      return !MakeCandidate(ApplySubstitution(h, rest), &dirty,
-                            std::move(step), out);
-    });
-    if (out->accepted) return;
+      if (explanation_ != nullptr) {
+        step.matched_fact = Atom(drop_.predicate(), drop_.Tuple(k));
+      }
+      drop_.BuildChild(k, &child_);
+      dirty_ = rest_dirty_;
+      if (MakeCandidate(&child_, &dirty_, std::move(step), out)) return;
+    }
 
     // Resolution: every chunk unifier whose chunk contains the selected
     // atom (Definition 4.3), over the per-predicate relevance bucket.
@@ -244,38 +242,39 @@ class LinearSearcher {
         if (t.is_variable()) fresh_base = std::max(fresh_base, t.index() + 1);
       }
     }
-    for (size_t tgd_index : index_.TgdsWithHead(pivot.predicate)) {
-      std::vector<Resolvent> resolvents =
-          ResolveWithTgd(state.atoms, program_, tgd_index, fresh_base,
-                         max_chunk_, /*anchor=*/selected);
-      for (Resolvent& r : resolvents) {
-        ++out->resolution_edges;
+    PredicateId pivot = state.atoms[selected].predicate;
+    for (size_t tgd_index : index_.TgdsWithHead(pivot)) {
+      size_t dead = ResolveWithTgd(state.atoms, program_, index_, database_,
+                                   tgd_index, fresh_base, max_chunk_,
+                                   /*anchor=*/selected, &resolvents_);
+      for (Resolvent& r : resolvents_) {
+        // Edges are counted in enumeration order, dead ones included.
+        out->resolution_edges += r.dead_before + 1;
+        dead -= r.dead_before;
         ProofStep step;
         step.kind = ProofStep::Kind::kResolution;
         step.tgd_index = tgd_index;
-        ResolventDirtyFlags(components, r.chunk, r.atoms.size(), &dirty);
-        if (MakeCandidate(std::move(r.atoms), &dirty, std::move(step),
-                          out)) {
-          return;
-        }
+        ResolventDirtyFlags(components_, r.chunk, r.atoms.size(), &dirty_);
+        if (MakeCandidate(&r.atoms, &dirty_, std::move(step), out)) return;
       }
+      out->resolution_edges += dead;  // dropped after the last survivor
     }
   }
 
-  /// Simplifies, filters and canonicalizes one successor. Returns true on
-  /// acceptance (empty state), which stops the surrounding expansion.
-  bool MakeCandidate(std::vector<Atom> atoms, std::vector<char>* dirty,
+  /// One successor through the stages dead → simplify → width → encode →
+  /// probe → materialize: rejected as early as possible, encoded before
+  /// it is probed, and decoded into atoms only once it survives. Returns
+  /// true on acceptance (empty state), which stops the surrounding
+  /// expansion. `atoms` and `dirty` are consumed as scratch.
+  bool MakeCandidate(std::vector<Atom>* atoms, std::vector<char>* dirty,
                      ProofStep step, ExpandOutput* out) {
-    EagerSimplifyIncremental(&atoms, database_, dirty);
-    if (atoms.size() > width_) return false;  // pruned by Theorem 4.8
-    if (index_.StateIsDead(atoms, database_)) return false;
-    CanonicalState canonical = Canonicalize(std::move(atoms));
-    if (canonical.atoms.empty()) {
+    if (index_.StateIsDead(*atoms, database_)) return false;
+    EagerSimplifyIncremental(atoms, database_, dirty);
+    if (atoms->size() > width_) return false;  // pruned by Theorem 4.8
+    CanonicalState canonical = CanonicalEncoding(*atoms);
+    if (canonical.encoding.empty()) {
       out->accepted = true;
-      if (explanation_ != nullptr) {
-        step.state = canonical.atoms;
-        out->accept_step = std::move(step);
-      }
+      if (explanation_ != nullptr) out->accept_step = std::move(step);
       return true;
     }
     out->peak_state_bytes =
@@ -288,6 +287,7 @@ class LinearSearcher {
       ++out->cache_hits;  // a previous search refuted this whole subtree
       return false;
     }
+    DecodeAtoms(&canonical);
     if (explanation_ != nullptr) step.state = canonical.atoms;
     Candidate candidate;
     candidate.state = std::move(canonical);
@@ -407,6 +407,14 @@ class LinearSearcher {
   SubsumptionIndex visited_subsumers_;
   std::unordered_map<std::vector<uint64_t>, ParentEdge, EncodingHash>
       parents_;
+
+  // Expansion scratch, reused across states.
+  std::vector<int> components_;
+  DropPlan drop_;
+  std::vector<char> rest_dirty_;
+  std::vector<char> dirty_;
+  std::vector<Atom> child_;
+  std::vector<Resolvent> resolvents_;
 };
 
 }  // namespace

@@ -2,114 +2,255 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
+#include "engine/search_cache.h"
 #include "engine/unify.h"
 
 namespace vadalog {
 namespace {
 
-/// Validates the existential-variable conditions of a chunk unifier and, on
-/// success, emits the resolvent.
-bool TryEmitResolvent(const std::vector<Atom>& state,
-                      const std::vector<size_t>& chunk, const Tgd& renamed,
-                      const std::vector<Term>& existentials,
-                      uint64_t fresh_variable_base, const Unifier& unifier,
-                      size_t tgd_index, std::vector<Resolvent>* out) {
-  // Variables of the chunk (S1) and of the remainder of the state. States
-  // are node-width bounded, so flat membership structures beat hash sets;
-  // the buffers are thread-local scratch (this runs millions of times per
-  // search, mostly failing the validation below).
-  static thread_local std::vector<char> in_chunk;
-  static thread_local std::vector<Term> chunk_vars;
-  static thread_local std::vector<Term> rest_vars;
-  in_chunk.assign(state.size(), 0);
-  chunk_vars.clear();
-  rest_vars.clear();
-  for (size_t i : chunk) in_chunk[i] = 1;
-  for (size_t i = 0; i < state.size(); ++i) {
-    std::vector<Term>& vars = in_chunk[i] ? chunk_vars : rest_vars;
-    for (Term t : state[i].args) {
-      if (t.is_variable()) vars.push_back(t);
-    }
-  }
-  auto contains = [](const std::vector<Term>& vars, Term t) {
-    return std::find(vars.begin(), vars.end(), t) != vars.end();
-  };
+/// Grow-only per-thread scratch for one enumeration: the unifier, the
+/// chunk DFS and the dead test reuse it, so a warm call allocates only
+/// the resolvents it emits.
+struct ResolveScratch {
+  Unifier unifier;
+  std::vector<size_t> candidates;
+  std::vector<size_t> chunk;
+  std::vector<char> in_chunk;
+  std::vector<char> dead_as_is;  // per state atom, for the dead test
+  Atom image;                    // γ-image of one atom, for the dead test
+};
 
-  auto is_sigma_variable = [fresh_variable_base](Term t) {
-    return t.is_variable() && t.index() >= fresh_variable_base;
-  };
-
-  for (Term x : existentials) {
-    // (1) γ(x) must not be rigid: a fresh null can never equal a constant
-    // or a pre-existing null.
-    Term resolved = unifier.Resolve(x);
-    if (resolved.is_rigid()) return false;
-    // (2) every variable unified with x must be a non-shared variable of
-    // the chunk. Unifying x with any variable of σ (a frontier variable or
-    // another existential) is unsound as well: a fresh null is distinct
-    // from every other term of the chase.
-    for (Term y : unifier.ClassOf(x)) {
-      if (y == x) continue;
-      if (is_sigma_variable(y)) return false;
-      if (!contains(chunk_vars, y)) return false;  // must occur in S1
-      if (contains(rest_vars, y)) return false;    // and not be shared
-    }
-  }
-
-  // γ applied on the fly: Resolve() maps every bound variable to its
-  // representative, which is exactly ToSubstitution() without building the
-  // intermediate map.
-  Resolvent resolvent;
-  resolvent.tgd_index = tgd_index;
-  resolvent.chunk = chunk;
-  std::sort(resolvent.chunk.begin(), resolvent.chunk.end());
-  resolvent.atoms.reserve(state.size() - chunk.size() + renamed.body.size());
-  auto emit = [&](const Atom& atom) {
-    Atom resolved;
-    resolved.predicate = atom.predicate;
-    resolved.args.reserve(atom.args.size());
-    for (Term t : atom.args) resolved.args.push_back(unifier.Resolve(t));
-    resolvent.atoms.push_back(std::move(resolved));
-  };
-  for (size_t i = 0; i < state.size(); ++i) {
-    if (!in_chunk[i]) emit(state[i]);
-  }
-  for (const Atom& b : renamed.body) emit(b);
-  out->push_back(std::move(resolvent));
-  return true;
+ResolveScratch* ThreadResolveScratch() {
+  static thread_local ResolveScratch scratch;
+  return &scratch;
 }
 
-/// DFS over chunks S1 ⊆ candidate atoms: extends the chunk one atom at a
-/// time, unifying incrementally (a chunk that fails to unify prunes all of
-/// its supersets). The shared unifier is extended in place and rewound via
-/// its journal instead of being copied per branch.
-void ExtendChunk(const std::vector<Atom>& state,
-                 const std::vector<size_t>& candidates, size_t start,
-                 Unifier& unifier, std::vector<size_t>* chunk,
-                 const Tgd& renamed, const std::vector<Term>& existentials,
-                 uint64_t fresh_variable_base, size_t tgd_index,
-                 size_t max_chunk, std::vector<Resolvent>* out) {
-  if (!chunk->empty()) {
-    TryEmitResolvent(state, *chunk, renamed, existentials,
-                     fresh_variable_base, unifier, tgd_index, out);
-  }
-  if (chunk->size() >= max_chunk) return;
-  for (size_t i = start; i < candidates.size(); ++i) {
-    size_t mark = unifier.Mark();
-    if (unifier.UnifyAtoms(state[candidates[i]], renamed.head[0])) {
-      chunk->push_back(candidates[i]);
-      ExtendChunk(state, candidates, i + 1, unifier, chunk, renamed,
-                  existentials, fresh_variable_base, tgd_index, max_chunk,
-                  out);
-      chunk->pop_back();
+/// The chunk DFS of one ResolveWithTgd call.
+class ChunkResolver {
+ public:
+  ChunkResolver(const std::vector<Atom>& state, const Tgd& tgd,
+                const std::vector<Term>& existentials, size_t tgd_index,
+                uint64_t fresh_variable_base, size_t max_chunk,
+                const ProgramIndex* index, const Instance* database,
+                ResolveScratch* s, std::vector<Resolvent>* out)
+      : state_(state),
+        head_(tgd.head[0]),
+        body_(tgd.body),
+        existentials_(existentials),
+        tgd_index_(tgd_index),
+        base_(fresh_variable_base),
+        max_chunk_(max_chunk),
+        index_(index),
+        database_(database),
+        s_(s),
+        out_(out) {}
+
+  /// Runs the enumeration; returns the number of dead resolvents dropped.
+  size_t Run(size_t anchor) {
+    PredicateId head_predicate = head_.predicate;
+    if (anchor != kNoAnchor && state_[anchor].predicate != head_predicate) {
+      return 0;  // the anchor can never join a chunk of this TGD
     }
-    unifier.Rewind(mark);
+    s_->candidates.clear();
+    for (size_t i = 0; i < state_.size(); ++i) {
+      if (state_[i].predicate == head_predicate && i != anchor) {
+        s_->candidates.push_back(i);
+      }
+    }
+    s_->chunk.clear();
+    s_->unifier.Rewind(0);
+    if (anchor != kNoAnchor) {
+      // Pre-seed the chunk with the anchor; every emitted chunk extends it.
+      if (!s_->unifier.UnifyAtoms(state_[anchor], head_, base_)) {
+        s_->unifier.Rewind(0);
+        return 0;
+      }
+      s_->chunk.push_back(anchor);
+    } else if (s_->candidates.empty()) {
+      return 0;
+    }
+    s_->in_chunk.assign(state_.size(), 0);
+    if (index_ != nullptr) {
+      // A kept atom no binding touches is the parent's atom as is.
+      s_->dead_as_is.resize(state_.size());
+      for (size_t i = 0; i < state_.size(); ++i) {
+        s_->dead_as_is[i] = index_->AtomIsDead(state_[i], *database_);
+      }
+    }
+    Extend(0);
+    s_->unifier.Rewind(0);
+    return dropped_;
   }
-}
+
+ private:
+  Term Shifted(Term t) const {
+    return t.is_variable() ? Term::Variable(t.index() + base_) : t;
+  }
+
+  /// DFS over chunks S1 ⊆ candidate atoms: extends the chunk one atom at
+  /// a time, unifying incrementally (a chunk that fails to unify prunes
+  /// all of its supersets). The shared unifier is extended in place and
+  /// rewound via its journal instead of being copied per branch.
+  void Extend(size_t start) {
+    if (!s_->chunk.empty()) TryEmit();
+    if (s_->chunk.size() >= max_chunk_) return;
+    Unifier& unifier = s_->unifier;
+    for (size_t i = start; i < s_->candidates.size(); ++i) {
+      size_t mark = unifier.Mark();
+      size_t atom = s_->candidates[i];
+      if (unifier.UnifyAtoms(state_[atom], head_, base_)) {
+        s_->chunk.push_back(atom);
+        Extend(i + 1);
+        s_->chunk.pop_back();
+      }
+      unifier.Rewind(mark);
+    }
+  }
+
+  /// True iff state variable `y` occurs in the chunk and nowhere else.
+  bool OnlyInChunk(Term y) const {
+    bool in_chunk = false;
+    for (size_t i = 0; i < state_.size(); ++i) {
+      const std::vector<Term>& args = state_[i].args;
+      if (std::find(args.begin(), args.end(), y) == args.end()) continue;
+      if (s_->in_chunk[i] == 0) return false;  // shared
+      in_chunk = true;
+    }
+    return in_chunk;
+  }
+
+  /// The existential-variable conditions of a chunk unifier.
+  bool ExistentialsHold() const {
+    const Unifier& unifier = s_->unifier;
+    for (Term existential : existentials_) {
+      Term x = Shifted(existential);
+      // (1) γ(x) must not be rigid: a fresh null can never equal a
+      // constant or a pre-existing null.
+      if (unifier.Resolve(x).is_rigid()) return false;
+      // (2) every variable unified with x must be a non-shared variable
+      // of the chunk. Unifying x with any variable of σ (a frontier
+      // variable or another existential) is unsound as well: a fresh null
+      // is distinct from every other term of the chase.
+      bool ok = unifier.ForEachInClass(x, [&](Term y) {
+        if (y == x) return true;
+        if (y.index() >= base_) return false;  // a variable of σ
+        return OnlyInChunk(y);
+      });
+      if (!ok) return false;
+    }
+    return true;
+  }
+
+  /// Writes γ(atom) into the scratch image; `shift` reads the atom as a
+  /// rule atom. Returns false if γ binds none of its variables.
+  bool Image(const Atom& atom, bool shift) {
+    Atom& image = s_->image;
+    image.predicate = atom.predicate;
+    image.args.resize(atom.args.size());
+    bool moved = false;
+    for (size_t i = 0; i < atom.args.size(); ++i) {
+      Term t = shift ? Shifted(atom.args[i]) : atom.args[i];
+      Term resolved = s_->unifier.Resolve(t);
+      moved = moved || resolved != t;
+      image.args[i] = resolved;
+    }
+    return moved;
+  }
+
+  /// The dead-first test on the would-be resolvent, atom by atom, without
+  /// building it.
+  bool ResolventIsDead() {
+    for (size_t i = 0; i < state_.size(); ++i) {
+      if (s_->in_chunk[i] != 0) continue;
+      if (index_->NeverDead(state_[i].predicate)) continue;
+      if (!Image(state_[i], /*shift=*/false)) {
+        if (s_->dead_as_is[i] != 0) return true;
+        continue;
+      }
+      if (index_->AtomIsDead(s_->image, *database_)) return true;
+    }
+    for (const Atom& b : body_) {
+      if (index_->NeverDead(b.predicate)) continue;
+      Image(b, /*shift=*/true);
+      if (index_->AtomIsDead(s_->image, *database_)) return true;
+    }
+    return false;
+  }
+
+  void TryEmit() {
+    const std::vector<size_t>& chunk = s_->chunk;
+    for (size_t i : chunk) s_->in_chunk[i] = 1;
+    bool valid = ExistentialsHold();
+    if (valid && index_ != nullptr && ResolventIsDead()) {
+      ++dropped_;
+      ++dead_run_;
+      valid = false;
+    }
+    if (valid) Emit();
+    for (size_t i : chunk) s_->in_chunk[i] = 0;
+  }
+
+  /// Builds the resolvent γ((atoms(q) \ S1) ∪ body(σ)), sized exactly.
+  void Emit() {
+    const Unifier& unifier = s_->unifier;
+    Resolvent& resolvent = out_->emplace_back();
+    resolvent.tgd_index = tgd_index_;
+    resolvent.dead_before = dead_run_;
+    dead_run_ = 0;
+    resolvent.chunk = s_->chunk;
+    std::sort(resolvent.chunk.begin(), resolvent.chunk.end());
+    resolvent.atoms.reserve(state_.size() - s_->chunk.size() +
+                            body_.size());
+    auto emit = [&](const Atom& atom, bool shift) {
+      Atom& resolved = resolvent.atoms.emplace_back();
+      resolved.predicate = atom.predicate;
+      resolved.args.reserve(atom.args.size());
+      for (Term t : atom.args) {
+        resolved.args.push_back(unifier.Resolve(shift ? Shifted(t) : t));
+      }
+    };
+    for (size_t i = 0; i < state_.size(); ++i) {
+      if (s_->in_chunk[i] == 0) emit(state_[i], /*shift=*/false);
+    }
+    for (const Atom& b : body_) emit(b, /*shift=*/true);
+  }
+
+  const std::vector<Atom>& state_;
+  const Atom& head_;
+  const std::vector<Atom>& body_;
+  const std::vector<Term>& existentials_;
+  const size_t tgd_index_;
+  const uint64_t base_;
+  const size_t max_chunk_;
+  const ProgramIndex* index_;  // null: no dead-first filter
+  const Instance* database_;
+  ResolveScratch* s_;
+  std::vector<Resolvent>* out_;
+  size_t dropped_ = 0;
+  size_t dead_run_ = 0;  // dropped since the last emitted resolvent
+};
 
 }  // namespace
+
+std::vector<Term> ExistentialVariablesOf(const Tgd& tgd) {
+  std::vector<Term> existentials;
+  for (const Atom& head : tgd.head) {
+    for (Term t : head.args) {
+      if (!t.is_variable()) continue;
+      bool in_body = false;
+      for (const Atom& b : tgd.body) {
+        in_body = in_body ||
+                  std::find(b.args.begin(), b.args.end(), t) != b.args.end();
+      }
+      if (!in_body && std::find(existentials.begin(), existentials.end(),
+                                t) == existentials.end()) {
+        existentials.push_back(t);
+      }
+    }
+  }
+  return existentials;
+}
 
 std::vector<Resolvent> ResolveWithTgd(const std::vector<Atom>& state,
                                       const Program& program,
@@ -120,34 +261,26 @@ std::vector<Resolvent> ResolveWithTgd(const std::vector<Atom>& state,
   const Tgd& tgd = program.tgds()[tgd_index];
   assert(tgd.head.size() == 1 &&
          "resolution requires single-head TGDs (normalize first)");
-  PredicateId head_predicate = tgd.head[0].predicate;
-  if (anchor != kNoAnchor && state[anchor].predicate != head_predicate) {
-    return out;  // the anchor can never join a chunk of this TGD
-  }
-  Tgd renamed = tgd.WithVariableOffset(fresh_variable_base);
-
-  std::vector<size_t> candidates;
-  for (size_t i = 0; i < state.size(); ++i) {
-    if (state[i].predicate == head_predicate && i != anchor) {
-      candidates.push_back(i);
-    }
-  }
-
-  std::vector<size_t> chunk;
-  Unifier unifier;
-  if (anchor != kNoAnchor) {
-    // Pre-seed the chunk with the anchor; every emitted chunk extends it.
-    if (!unifier.UnifyAtoms(state[anchor], renamed.head[0])) return out;
-    chunk.push_back(anchor);
-  } else if (candidates.empty()) {
-    return out;
-  }
-  std::unordered_set<Term> existential_set = renamed.ExistentialVariables();
-  std::vector<Term> existentials(existential_set.begin(),
-                                 existential_set.end());
-  ExtendChunk(state, candidates, 0, unifier, &chunk, renamed, existentials,
-              fresh_variable_base, tgd_index, max_chunk, &out);
+  ChunkResolver(state, tgd, ExistentialVariablesOf(tgd), tgd_index,
+                fresh_variable_base, max_chunk, /*index=*/nullptr,
+                /*database=*/nullptr, ThreadResolveScratch(), &out)
+      .Run(anchor);
   return out;
+}
+
+size_t ResolveWithTgd(const std::vector<Atom>& state, const Program& program,
+                      const ProgramIndex& index, const Instance& database,
+                      size_t tgd_index, uint64_t fresh_variable_base,
+                      size_t max_chunk, size_t anchor,
+                      std::vector<Resolvent>* out) {
+  out->clear();
+  const Tgd& tgd = program.tgds()[tgd_index];
+  assert(tgd.head.size() == 1 &&
+         "resolution requires single-head TGDs (normalize first)");
+  return ChunkResolver(state, tgd, index.Existentials(tgd_index), tgd_index,
+                       fresh_variable_base, max_chunk, &index, &database,
+                       ThreadResolveScratch(), out)
+      .Run(anchor);
 }
 
 std::vector<Resolvent> ResolveAll(const std::vector<Atom>& state,
@@ -161,6 +294,110 @@ std::vector<Resolvent> ResolveAll(const std::vector<Atom>& state,
     for (Resolvent& r : partial) out.push_back(std::move(r));
   }
   return out;
+}
+
+void DropPlan::Plan(const std::vector<Atom>& state, size_t selected,
+                    const ProgramIndex& index, const Instance& database) {
+  const Atom& pivot = state[selected];
+  index_ = &index;
+  database_ = &database;
+  predicate_ = pivot.predicate;
+  relation_ = database.RelationFor(pivot.predicate);
+  rows_.clear();
+  rest_.resize(state.size() - 1);
+  slots_.clear();
+  test_.clear();
+  untouched_dead_ = false;
+
+  // The pivot position first holding each variable (binds it), and the
+  // matching rows: rigid positions equal, repeated variables consistent.
+  auto first_position = [&pivot](size_t k) {
+    size_t p = 0;
+    while (pivot.args[p] != pivot.args[k]) ++p;
+    return p;
+  };
+  if (relation_ != nullptr) {
+    auto matches = [&](const std::vector<Term>& tuple) {
+      for (size_t k = 0; k < pivot.args.size(); ++k) {
+        Term arg = pivot.args[k];
+        if (!arg.is_variable()) {
+          if (tuple[k] != arg) return false;
+        } else if (tuple[k] != tuple[first_position(k)]) {
+          return false;
+        }
+      }
+      return true;
+    };
+    const std::vector<uint32_t>* best_rows = nullptr;
+    for (size_t k = 0; k < pivot.args.size(); ++k) {
+      if (pivot.args[k].is_variable()) continue;
+      const std::vector<uint32_t>& rows =
+          relation_->RowsWith(static_cast<uint32_t>(k), pivot.args[k]);
+      if (best_rows == nullptr || rows.size() < best_rows->size()) {
+        best_rows = &rows;
+      }
+    }
+    if (best_rows != nullptr) {
+      for (uint32_t row : *best_rows) {
+        if (matches(relation_->TupleAt(row))) rows_.push_back(row);
+      }
+    } else {
+      for (size_t row = 0; row < relation_->size(); ++row) {
+        if (matches(relation_->TupleAt(row))) {
+          rows_.push_back(static_cast<uint32_t>(row));
+        }
+      }
+    }
+  }
+
+  size_t j = 0;
+  for (size_t i = 0; i < state.size(); ++i) {
+    if (i == selected) continue;
+    const Atom& atom = state[i];
+    rest_[j] = atom;
+    bool touched = false;
+    for (size_t k = 0; k < atom.args.size(); ++k) {
+      Term t = atom.args[k];
+      if (!t.is_variable()) continue;
+      auto at = std::find(pivot.args.begin(), pivot.args.end(), t);
+      if (at == pivot.args.end()) continue;
+      slots_.push_back({static_cast<uint32_t>(j), static_cast<uint32_t>(k),
+                        static_cast<uint32_t>(at - pivot.args.begin())});
+      touched = true;
+    }
+    if (index.NeverDead(atom.predicate)) {
+      // Never dead, whatever a match binds.
+    } else if (touched) {
+      test_.push_back(static_cast<uint32_t>(j));
+    } else if (index.AtomIsDead(atom, database)) {
+      untouched_dead_ = true;
+    }
+    ++j;
+  }
+}
+
+bool DropPlan::ChildIsDead(size_t k) const {
+  if (untouched_dead_) return true;
+  static thread_local Atom image;
+  const std::vector<Term>& tuple = Tuple(k);
+  size_t slot = 0;
+  for (uint32_t atom : test_) {
+    image = rest_[atom];
+    while (slot < slots_.size() && slots_[slot].atom < atom) ++slot;
+    for (size_t s = slot; s < slots_.size() && slots_[s].atom == atom; ++s) {
+      image.args[slots_[s].arg] = tuple[slots_[s].pivot];
+    }
+    if (index_->AtomIsDead(image, *database_)) return true;
+  }
+  return false;
+}
+
+void DropPlan::BuildChild(size_t k, std::vector<Atom>* child) const {
+  *child = rest_;
+  const std::vector<Term>& tuple = Tuple(k);
+  for (const Slot& slot : slots_) {
+    (*child)[slot.atom].args[slot.arg] = tuple[slot.pivot];
+  }
 }
 
 }  // namespace vadalog

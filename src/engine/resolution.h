@@ -1,4 +1,5 @@
-// Chunk-based resolution (Definition 4.3).
+// The successor operations of the proof searches: chunk-based resolution
+// (Definition 4.3) and match-and-drop.
 //
 // Given a CQ state q (whose output variables are already frozen to
 // constants, per the Section 4.3 algorithm box) and a single-head TGD σ
@@ -12,22 +13,47 @@
 // shared" clause of the paper is subsumed by (1).)
 //
 // The σ-resolvent is γ((atoms(q) \ S1) ∪ body(σ)).
+//
+// Match-and-drop fuses specialization and leaf decomposition: each
+// database row the selected atom matches binds that atom's variables,
+// and the atom is dropped as a leaf.
+//
+// Both operations are dead-first for the searches: a successor containing
+// an atom that can never be discharged (ProgramIndex::AtomIsDead) is
+// rejected before it is built. Only the γ-images of the atoms the step
+// binds can turn dead — the others are the parent's atoms unchanged — so
+// only those are rebuilt, in a scratch atom, and tested. Rejecting them
+// here is exact: the searches would reject the built successor for the
+// same atom, without side effects.
 
 #ifndef VADALOG_ENGINE_RESOLUTION_H_
 #define VADALOG_ENGINE_RESOLUTION_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "ast/program.h"
 #include "ast/rule.h"
+#include "storage/instance.h"
 
 namespace vadalog {
+
+class ProgramIndex;
+
+/// The existential variables of `tgd` (head variables absent from the
+/// body), in first-occurrence order of the head. ProgramIndex keeps them
+/// per TGD, so the searches never recompute them per step.
+std::vector<Term> ExistentialVariablesOf(const Tgd& tgd);
 
 struct Resolvent {
   std::vector<Atom> atoms;   // the resolved CQ state
   size_t tgd_index;          // which σ was applied
   std::vector<size_t> chunk; // indices of the resolved S1 atoms in the state
+  /// Dead resolvents the dead-first filter dropped just before this one
+  /// in enumeration order (always 0 without the filter), so callers can
+  /// count every edge in the unfiltered order.
+  size_t dead_before = 0;
 };
 
 /// Sentinel for `anchor`: enumerate chunks without an anchoring atom.
@@ -47,11 +73,72 @@ std::vector<Resolvent> ResolveWithTgd(const std::vector<Atom>& state,
                                       size_t max_chunk = 4,
                                       size_t anchor = kNoAnchor);
 
+/// The proof searches' resolution: the same enumeration, with the
+/// existential variables `index` precomputed for `tgd_index` (`index`
+/// must be built for `program`), dead-first — a resolvent containing an
+/// atom `index` finds dead against `database` is dropped before it is
+/// built. The rule is never copied: its variable i is read as
+/// i + `fresh_variable_base`. `out` is cleared and refilled with the
+/// survivors, in enumeration order; returns the number dropped.
+size_t ResolveWithTgd(const std::vector<Atom>& state, const Program& program,
+                      const ProgramIndex& index, const Instance& database,
+                      size_t tgd_index, uint64_t fresh_variable_base,
+                      size_t max_chunk, size_t anchor,
+                      std::vector<Resolvent>* out);
+
 /// Enumerates resolvents over every TGD of the program.
 std::vector<Resolvent> ResolveAll(const std::vector<Atom>& state,
                                   const Program& program,
                                   uint64_t fresh_variable_base,
                                   size_t max_chunk = 4);
+
+/// Match-and-drop of one selected state atom, without substitution maps:
+/// the database rows the atom matches (in the order the database matcher
+/// enumerates them: through the positional index of the most selective
+/// rigid position, else every row) and, per variable slot of the other
+/// atoms, the selected atom's position whose value binds it. A plan is
+/// reusable: Plan() keeps the buffers of the previous one.
+class DropPlan {
+ public:
+  /// Plans dropping `state[selected]` against `database`. `index` marks
+  /// the matches whose child is dead (see ChildIsDead).
+  void Plan(const std::vector<Atom>& state, size_t selected,
+            const ProgramIndex& index, const Instance& database);
+
+  /// Number of matching rows.
+  size_t size() const { return rows_.size(); }
+
+  /// The database tuple of match `k`: matched fact = (predicate, tuple).
+  const std::vector<Term>& Tuple(size_t k) const {
+    return relation_->TupleAt(rows_[k]);
+  }
+  PredicateId predicate() const { return predicate_; }
+
+  /// True iff the child of match `k` contains an atom the plan's index
+  /// finds dead. Only atoms the match binds are rebuilt and tested.
+  bool ChildIsDead(size_t k) const;
+
+  /// Writes the child of match `k` — rest() with the match's bindings
+  /// applied — into `child`, reusing its buffers.
+  void BuildChild(size_t k, std::vector<Atom>* child) const;
+
+ private:
+  struct Slot {
+    uint32_t atom;   // index into rest_
+    uint32_t arg;    // argument position
+    uint32_t pivot;  // position of the selected atom binding it
+  };
+
+  const ProgramIndex* index_ = nullptr;
+  const Instance* database_ = nullptr;
+  const Relation* relation_ = nullptr;
+  PredicateId predicate_ = kInvalidPredicate;
+  std::vector<uint32_t> rows_;
+  std::vector<Atom> rest_;
+  std::vector<Slot> slots_;     // grouped by atom, ascending
+  std::vector<uint32_t> test_;  // rest atoms a match can turn dead
+  bool untouched_dead_ = false;  // a rest atom no match binds is dead
+};
 
 }  // namespace vadalog
 

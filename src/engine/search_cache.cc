@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "analysis/predicate_graph.h"
+#include "engine/resolution.h"
 
 namespace vadalog {
 
@@ -18,6 +19,10 @@ ProgramIndex::ProgramIndex(const Program& program, const Instance& database) {
   }
   for (PredicateId p : database.Predicates()) note(p);
   tgds_by_head_.resize(max_predicate + 1);
+  existentials_.reserve(tgds.size());
+  for (const Tgd& tgd : tgds) {
+    existentials_.push_back(ExistentialVariablesOf(tgd));
+  }
   supported_.assign(max_predicate + 1, 0);
   heads_by_body_.resize(max_predicate + 1);
 
@@ -91,14 +96,17 @@ std::vector<char> ProgramIndex::AffectedByDelta(
   return affected;
 }
 
+bool ProgramIndex::AtomIsDead(const Atom& atom,
+                              const Instance& database) const {
+  if (!Supported(atom.predicate)) return true;
+  return !RuleDerivable(atom.predicate) &&
+         EstimateMatches(atom, database) == 0;
+}
+
 bool ProgramIndex::StateIsDead(const std::vector<Atom>& atoms,
                                const Instance& database) const {
   for (const Atom& atom : atoms) {
-    if (!Supported(atom.predicate)) return true;
-    if (!RuleDerivable(atom.predicate) &&
-        EstimateMatches(atom, database) == 0) {
-      return true;
-    }
+    if (AtomIsDead(atom, database)) return true;
   }
   return false;
 }
@@ -107,41 +115,55 @@ ProofSearchCache::ProofSearchCache(const Program& program,
                                    const Instance& database)
     : index_(program, database) {}
 
+namespace {
+
+/// Thread-local scratch of the cache probes and interning: concurrent
+/// probes (from concurrent searches of one session) must not share a
+/// member buffer, and none allocates once warm.
+struct KeyScratch {
+  std::vector<uint64_t> chunk;  // one atom's encoding words
+  std::vector<uint32_t> key;    // a probed state's key
+};
+
+KeyScratch* ThreadKeyScratch() {
+  static thread_local KeyScratch scratch;
+  return &scratch;
+}
+
+}  // namespace
+
 ProofSearchCache::Key ProofSearchCache::InternKey(const CanonicalState& state) {
+  std::vector<uint64_t>& chunk = ThreadKeyScratch()->chunk;
+  const std::vector<uint64_t>& encoding = state.encoding;
   Key key;
   key.reserve(state.atoms.size());
-  size_t offset = 0;
-  for (const Atom& atom : state.atoms) {
-    size_t len = 1 + atom.args.size();
-    std::vector<uint64_t> chunk(state.encoding.begin() + offset,
-                                state.encoding.begin() + offset + len);
-    offset += len;
-    uint32_t next_id = static_cast<uint32_t>(atom_ids_.size());
-    auto [it, inserted] = atom_ids_.try_emplace(std::move(chunk), next_id);
-    if (inserted) {
-      interned_words_ += len;
-      atom_predicates_.push_back(atom.predicate);
+  for (size_t begin = 0; begin < encoding.size();) {
+    size_t end = EncodedAtomEnd(encoding, begin);
+    chunk.assign(encoding.begin() + begin, encoding.begin() + end);
+    auto it = atom_ids_.find(chunk);
+    if (it == atom_ids_.end()) {
+      uint32_t next_id = static_cast<uint32_t>(atom_ids_.size());
+      it = atom_ids_.emplace(chunk, next_id).first;
+      interned_words_ += end - begin;
+      atom_predicates_.push_back(EncodedPredicate(encoding[begin]));
     }
     key.push_back(it->second);
+    begin = end;
   }
   return key;
 }
 
 bool ProofSearchCache::BuildKey(const CanonicalState& state, Key* out) const {
-  // Thread-local scratch: concurrent lookups (from concurrent searches of
-  // one session) must not share a member buffer.
-  static thread_local std::vector<uint64_t> chunk_scratch;
+  std::vector<uint64_t>& chunk = ThreadKeyScratch()->chunk;
+  const std::vector<uint64_t>& encoding = state.encoding;
   out->clear();
-  out->reserve(state.atoms.size());
-  size_t offset = 0;
-  for (const Atom& atom : state.atoms) {
-    size_t len = 1 + atom.args.size();
-    chunk_scratch.assign(state.encoding.begin() + offset,
-                         state.encoding.begin() + offset + len);
-    offset += len;
-    auto it = atom_ids_.find(chunk_scratch);
+  for (size_t begin = 0; begin < encoding.size();) {
+    size_t end = EncodedAtomEnd(encoding, begin);
+    chunk.assign(encoding.begin() + begin, encoding.begin() + end);
+    auto it = atom_ids_.find(chunk);
     if (it == atom_ids_.end()) return false;  // unseen atom => unseen state
     out->push_back(it->second);
+    begin = end;
   }
   return true;
 }
@@ -151,7 +173,7 @@ bool ProofSearchCache::Lookup(const Table& table, const CanonicalState& state,
                               bool entry_must_cover) {
   stats_.lookups.fetch_add(1, std::memory_order_relaxed);
   if (table.empty()) return false;  // cold cache: skip the key walk
-  Key key;
+  Key& key = ThreadKeyScratch()->key;
   if (!BuildKey(state, &key)) return false;
   auto it = table.find(key);
   if (it == table.end()) return false;

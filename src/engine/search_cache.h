@@ -83,12 +83,29 @@ class ProgramIndex {
     return p < supported_.size() && supported_[p] != 0;
   }
 
-  /// True iff some atom of the state can provably never be discharged:
+  /// The dead rule for one atom: it can provably never be discharged —
   /// its predicate is unsupported, or it is not rule-derivable and its
   /// rigid bindings match no database row (further bindings only shrink
-  /// the match set). Such states are dead and are pruned.
+  /// the match set).
+  bool AtomIsDead(const Atom& atom, const Instance& database) const;
+
+  /// True iff no atom with predicate `p` is ever dead (`p` is supported
+  /// and rule-derivable): the dead-first filters skip such atoms without
+  /// building their images.
+  bool NeverDead(PredicateId p) const {
+    return Supported(p) && RuleDerivable(p);
+  }
+
+  /// True iff some atom of the state is dead. Such states are dead and
+  /// are pruned.
   bool StateIsDead(const std::vector<Atom>& atoms,
                    const Instance& database) const;
+
+  /// The existential variables of the TGD at `tgd_index`
+  /// (ExistentialVariablesOf), computed once here for resolution.
+  const std::vector<Term>& Existentials(size_t tgd_index) const {
+    return existentials_[tgd_index];
+  }
 
   /// Reverse-dependency query over pg(Σ) for delta maintenance: the set
   /// of predicates whose resolution cone can reach a predicate of
@@ -108,6 +125,7 @@ class ProgramIndex {
   // Flat per-predicate arrays: PredicateIds are small dense interned ints,
   // and these are probed for every atom of every explored state.
   std::vector<std::vector<size_t>> tgds_by_head_;
+  std::vector<std::vector<Term>> existentials_;  // per TGD index
   std::vector<char> supported_;
   // Forward edges of pg(Σ): heads_by_body_[p] lists the head predicates
   // of TGDs with p in the body (deduplicated), for AffectedByDelta.
@@ -237,7 +255,9 @@ class ProofSearchCache {
   Key InternKey(const CanonicalState& state) REQUIRES(mutex_);
   /// Builds the interned key without interning: returns false (a sure
   /// cache miss) when any atom of the state has never been recorded.
-  /// Shared suffices: reads the intern map only, scratch is thread-local.
+  /// Reads the encoding alone — atoms start at its predicate words — so
+  /// a probe needs no decoded atoms. Shared suffices: reads the intern
+  /// map only, scratch is thread-local.
   bool BuildKey(const CanonicalState& state, Key* out) const
       REQUIRES_SHARED(mutex_);
   bool Lookup(const Table& table, const CanonicalState& state, size_t width,

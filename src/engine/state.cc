@@ -46,6 +46,10 @@ struct CanonScratch {
   std::vector<uint64_t> run_codes;
   std::vector<uint64_t> keys;  // concatenated per-atom invariant keys
   std::vector<std::pair<uint32_t, uint32_t>> key_span;  // per atom [b, e)
+  std::vector<uint32_t> atom_seen;  // one atom's distinct dense ids
+  std::vector<size_t> order;        // atoms in canonical order
+  std::vector<std::pair<size_t, size_t>> groups;  // tie groups in `order`
+  std::vector<size_t> best_order;   // LeastGroupOrder's result
   // Branch-and-bound canonical search (LeastGroupOrder).
   std::vector<std::pair<uint32_t, uint32_t>> tie;  // per slot: its group
   std::vector<char> placed;                        // per slot of `order`
@@ -194,13 +198,14 @@ void FoldColorRuns(CanonScratch* s, bool refine) {
   }
 }
 
-}  // namespace
-
-CanonicalState Canonicalize(std::vector<Atom> atoms, bool rename_nulls,
-                            std::unordered_map<Term, Term>* mapping) {
+/// Canonical order and encoding of `atoms`: sets `state->encoding`
+/// (reserved exactly) and `state->hash`, and, when `mapping` is
+/// non-null, the renaming. Leaves `state->atoms` alone.
+void EncodeCanonical(const std::vector<Atom>& atoms, bool rename_nulls,
+                     std::unordered_map<Term, Term>* mapping,
+                     CanonicalState* state) {
   static thread_local CanonScratch scratch;
   CanonScratch* s = &scratch;
-  CanonicalState state;
   size_t n = atoms.size();
   auto renameable = [rename_nulls](Term t) {
     return t.is_variable() || (rename_nulls && t.is_null());
@@ -226,6 +231,8 @@ CanonicalState Canonicalize(std::vector<Atom> atoms, bool rename_nulls,
   }
   FoldColorRuns(s, /*refine=*/false);
   s->rank.assign(s->color.size(), kUnranked);
+  state->encoding.clear();
+  state->encoding.reserve(n + s->id.size());  // a word per atom and arg
 
   // Pass 1b: one Weisfeiler–Leman-style refinement round — recolor each
   // term by the multiset of its occurrences *including the colors of the
@@ -257,23 +264,23 @@ CanonicalState Canonicalize(std::vector<Atom> atoms, bool rename_nulls,
   // first occurrence among the atom's distinct renameable terms + color.
   s->keys.clear();
   s->key_span.clear();
-  std::vector<uint32_t> atom_seen;
   for (size_t idx = 0; idx < n; ++idx) {
     const Atom& a = atoms[idx];
     const uint32_t* ids = s->id.data() + s->arg_begin[idx];
     uint32_t begin = static_cast<uint32_t>(s->keys.size());
     s->keys.push_back(a.predicate);
-    atom_seen.clear();
+    s->atom_seen.clear();
     for (size_t i = 0; i < a.args.size(); ++i) {
       if (ids[i] == kRigid) {
         s->keys.push_back(a.args[i].bits());
         continue;
       }
       size_t local_rank = 0;
-      while (local_rank < atom_seen.size() && atom_seen[local_rank] != ids[i]) {
+      while (local_rank < s->atom_seen.size() &&
+             s->atom_seen[local_rank] != ids[i]) {
         ++local_rank;
       }
-      if (local_rank == atom_seen.size()) atom_seen.push_back(ids[i]);
+      if (local_rank == s->atom_seen.size()) s->atom_seen.push_back(ids[i]);
       uint64_t kind_tag = a.args[i].is_variable() ? 3 : 1;
       s->keys.push_back((kind_tag << 62) | local_rank);
       s->keys.push_back(s->color[ids[i]]);
@@ -298,17 +305,18 @@ CanonicalState Canonicalize(std::vector<Atom> atoms, bool rename_nulls,
   };
 
   // Sort atoms by key; runs of equal keys are the tie groups.
-  std::vector<size_t> order(n);
+  std::vector<size_t>& order = s->order;
+  order.resize(n);
   for (size_t i = 0; i < n; ++i) order[i] = i;
   std::sort(order.begin(), order.end(), key_less);
 
-  std::vector<std::pair<size_t, size_t>> groups;  // [begin, end) in `order`
+  s->groups.clear();
   size_t combinations = 1;
   for (size_t i = 0; i < n;) {
     size_t j = i + 1;
     while (j < n && key_eq(order[i], order[j])) ++j;
     if (j - i > 1) {
-      groups.emplace_back(i, j);
+      s->groups.emplace_back(i, j);
       for (size_t k = 2; k <= j - i && combinations <= 720; ++k) {
         combinations *= k;
       }
@@ -318,47 +326,91 @@ CanonicalState Canonicalize(std::vector<Atom> atoms, bool rename_nulls,
 
   // Up to 720 group orders, take the one with the least encoding (exact
   // canonical form on symmetric states); beyond, keep the sorted order.
-  if (!groups.empty() && combinations <= 720) {
+  if (!s->groups.empty() && combinations <= 720) {
     s->tie.resize(n);
     for (uint32_t i = 0; i < n; ++i) s->tie[i] = {i, i + 1};
-    for (auto [begin, end] : groups) {
+    for (auto [begin, end] : s->groups) {
       std::sort(order.begin() + begin, order.begin() + end);
       for (size_t i = begin; i < end; ++i) {
         s->tie[i] = {static_cast<uint32_t>(begin), static_cast<uint32_t>(end)};
       }
     }
-    std::vector<size_t> best_order;
-    LeastGroupOrder(atoms, order, s, &state.encoding, &best_order).Run();
-    order = std::move(best_order);
+    LeastGroupOrder(atoms, order, s, &state->encoding, &s->best_order).Run();
+    order.swap(s->best_order);
   }
 
-  // Materialize atoms in canonical order with canonical names, encoding
-  // them on the way unless the canonical search already did.
-  bool encode = state.encoding.empty();
-  state.atoms.reserve(n);
-  for (size_t idx : order) {
-    const Atom& a = atoms[idx];
-    if (encode) state.encoding.push_back((uint64_t{2} << 62) | a.predicate);
-    Atom renamed;
-    renamed.predicate = a.predicate;
-    renamed.args.reserve(a.args.size());
-    for (size_t i = 0; i < a.args.size(); ++i) {
-      uint64_t word = s->Word(a, idx, i);
-      if (encode) state.encoding.push_back(word);
-      Term t = a.args[i];
-      Term out = t;
-      if (s->id[s->arg_begin[idx] + i] != kRigid) {
-        uint64_t rank = word & ((uint64_t{1} << 62) - 1);
-        out = t.is_variable() ? Term::Variable(rank) : Term::Null(rank);
-        if (mapping != nullptr) (*mapping)[t] = out;
+  // Encode in canonical order unless the canonical search already did;
+  // the renaming walk is only needed for `mapping`.
+  bool encode = state->encoding.empty();
+  if (encode || mapping != nullptr) {
+    for (size_t idx : order) {
+      const Atom& a = atoms[idx];
+      if (encode) state->encoding.push_back((uint64_t{2} << 62) | a.predicate);
+      for (size_t i = 0; i < a.args.size(); ++i) {
+        uint64_t word = s->Word(a, idx, i);
+        if (encode) state->encoding.push_back(word);
+        if (mapping != nullptr && s->id[s->arg_begin[idx] + i] != kRigid) {
+          Term t = a.args[i];
+          uint64_t rank = word & ((uint64_t{1} << 62) - 1);
+          (*mapping)[t] = t.is_variable() ? Term::Variable(rank)
+                                          : Term::Null(rank);
+        }
       }
-      renamed.args.push_back(out);
     }
-    state.atoms.push_back(std::move(renamed));
   }
   s->Rewind({0, 0, 0});
 
-  state.hash = HashRange(state.encoding.begin(), state.encoding.end());
+  state->hash = HashRange(state->encoding.begin(), state->encoding.end());
+}
+
+}  // namespace
+
+CanonicalState CanonicalEncoding(const std::vector<Atom>& atoms) {
+  CanonicalState state;
+  EncodeCanonical(atoms, /*rename_nulls=*/false, nullptr, &state);
+  return state;
+}
+
+void DecodeAtoms(CanonicalState* state) {
+  const std::vector<uint64_t>& encoding = state->encoding;
+  constexpr uint64_t kLow = (uint64_t{1} << 62) - 1;
+  size_t num_atoms = 0;
+  for (uint64_t word : encoding) num_atoms += IsPredicateWord(word) ? 1 : 0;
+  std::vector<Atom>& atoms = state->atoms;
+  atoms.clear();
+  atoms.reserve(num_atoms);
+  uint64_t predicate_mask = 0;
+  uint64_t rigid_mask = 0;
+  for (size_t begin = 0; begin < encoding.size();) {
+    size_t end = EncodedAtomEnd(encoding, begin);
+    Atom& atom = atoms.emplace_back();
+    atom.predicate = EncodedPredicate(encoding[begin]);
+    predicate_mask |= uint64_t{1} << (atom.predicate % 64);
+    atom.args.reserve(end - begin - 1);
+    for (size_t w = begin + 1; w < end; ++w) {
+      uint64_t low = encoding[w] & kLow;
+      Term t;
+      switch (encoding[w] >> 62) {
+        case 0: t = Term::Constant(low); break;
+        case 1: t = Term::Null(low); break;
+        default: t = Term::Variable(low); break;  // tag 3: canonical rank
+      }
+      if (t.is_rigid()) {
+        rigid_mask |= uint64_t{1} << (std::hash<Term>{}(t) & 63);
+      }
+      atom.args.push_back(t);
+    }
+    begin = end;
+  }
+  state->predicate_mask = predicate_mask;
+  state->rigid_mask = rigid_mask;
+}
+
+CanonicalState Canonicalize(const std::vector<Atom>& atoms, bool rename_nulls,
+                            std::unordered_map<Term, Term>* mapping) {
+  CanonicalState state;
+  EncodeCanonical(atoms, rename_nulls, mapping, &state);
+  DecodeAtoms(&state);
   return state;
 }
 
@@ -428,8 +480,12 @@ int LabelComponents(const std::vector<Atom>& atoms, ComponentScratch* s,
 
 std::vector<int> ComponentIds(const std::vector<Atom>& atoms) {
   std::vector<int> ids;
-  LabelComponents(atoms, ThreadComponentScratch(), &ids);
+  ComponentIds(atoms, &ids);
   return ids;
+}
+
+void ComponentIds(const std::vector<Atom>& atoms, std::vector<int>* ids) {
+  LabelComponents(atoms, ThreadComponentScratch(), ids);
 }
 
 std::vector<std::vector<Atom>> SplitComponents(
@@ -549,17 +605,6 @@ void ResolventDirtyFlags(const std::vector<int>& components,
     dirty->push_back(component_hit[components[i]]);
   }
   dirty->resize(resolvent_size, 1);  // the body atoms are new
-}
-
-bool HasDeadAtom(const std::vector<Atom>& atoms, const Instance& database,
-                 const std::unordered_set<PredicateId>& derivable) {
-  for (const Atom& atom : atoms) {
-    if (derivable.count(atom.predicate) == 0 &&
-        EstimateMatches(atom, database) == 0) {
-      return true;
-    }
-  }
-  return false;
 }
 
 size_t EstimateMatches(const Atom& atom, const Instance& database) {

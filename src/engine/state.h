@@ -11,6 +11,11 @@
 // search for the least encoding, and variables are renamed by first
 // occurrence. One routine serves the proof searches and, with sentinel
 // nulls renamed as well, the Lemma 6.4 rewriter.
+//
+// The canonical encoding identifies a state on its own, so the searches
+// encode first: a successor is encoded (CanonicalEncoding), probed
+// against the visited set and the cache on its encoding alone, and only a
+// survivor gets its atoms, decoded from the encoding (DecodeAtoms).
 
 #ifndef VADALOG_ENGINE_STATE_H_
 #define VADALOG_ENGINE_STATE_H_
@@ -24,11 +29,18 @@
 
 namespace vadalog {
 
-/// A canonicalized proof state.
+/// A canonicalized proof state. The encoding is a flat word sequence: per
+/// atom a predicate word (tag 2 in the top two bits, the predicate id
+/// below), then one word per argument — a rigid term's packed bits (tags
+/// 0/1), or a canonical variable rank under tag 3.
 struct CanonicalState {
   std::vector<Atom> atoms;        // canonical atom order, variables 0..k-1
   std::vector<uint64_t> encoding; // flat injective encoding of `atoms`
   size_t hash = 0;                // hash of `encoding`, fixed at creation
+  // Subsumption prefilter masks, set with the atoms: one bit per
+  // predicate id mod 64, and one per hashed rigid term.
+  uint64_t predicate_mask = 0;
+  uint64_t rigid_mask = 0;
 
   /// The hash is computed once during canonicalization and stored, so
   /// visited-set operations never re-walk the encoding.
@@ -54,8 +66,35 @@ struct CanonicalStateHash {
 /// canonically too, as a class of their own (distinct from variables). If
 /// `mapping` is non-null it receives the renaming original term →
 /// canonical term for every variable and (when renamed) null of the input.
-CanonicalState Canonicalize(std::vector<Atom> atoms, bool rename_nulls = false,
+CanonicalState Canonicalize(const std::vector<Atom>& atoms,
+                            bool rename_nulls = false,
                             std::unordered_map<Term, Term>* mapping = nullptr);
+
+/// The first half of Canonicalize: the canonical encoding and its hash
+/// only (`atoms` of the result stay empty). Equal to Canonicalize's
+/// encoding, so it decides visited-set and cache membership by itself.
+CanonicalState CanonicalEncoding(const std::vector<Atom>& atoms);
+
+/// The second half: materializes `state->atoms` (and the subsumption
+/// masks) from `state->encoding`, with exact reserves.
+void DecodeAtoms(CanonicalState* state);
+
+/// True iff `word` of a canonical encoding is a predicate word, i.e.
+/// starts an atom.
+inline bool IsPredicateWord(uint64_t word) { return (word >> 62) == 2; }
+
+/// The predicate of a predicate word.
+inline PredicateId EncodedPredicate(uint64_t word) {
+  return static_cast<PredicateId>(word & ((uint64_t{1} << 62) - 1));
+}
+
+/// One past the last word of the encoded atom starting at `begin`.
+inline size_t EncodedAtomEnd(const std::vector<uint64_t>& encoding,
+                             size_t begin) {
+  size_t end = begin + 1;
+  while (end < encoding.size() && !IsPredicateWord(encoding[end])) ++end;
+  return end;
+}
 
 /// Splits a state into connected components: atoms sharing a variable are
 /// in the same component (constants never connect — they are frozen).
@@ -65,6 +104,9 @@ std::vector<std::vector<Atom>> SplitComponents(const std::vector<Atom>& atoms);
 /// Per-atom connected-component ids (same connectivity as SplitComponents;
 /// ids are dense, in first-occurrence order). No database work.
 std::vector<int> ComponentIds(const std::vector<Atom>& atoms);
+
+/// ComponentIds into `ids`, reusing its buffer.
+void ComponentIds(const std::vector<Atom>& atoms, std::vector<int>* ids);
 
 /// Removes every connected component that maps homomorphically into the
 /// database (such components are proof-tree leaves: they can be specialized
@@ -106,13 +148,6 @@ size_t SelectAtom(const std::vector<Atom>& atoms, const Instance& database);
 /// Upper bound on the database rows matching `atom` through its most
 /// selective bound position (0 means provably no match).
 size_t EstimateMatches(const Atom& atom, const Instance& database);
-
-/// True if some atom can never be discharged: it has no database match
-/// and its predicate is not derived by any rule (not in `derivable`).
-/// States containing such an atom are dead and can be pruned — further
-/// bindings only shrink an atom's match set.
-bool HasDeadAtom(const std::vector<Atom>& atoms, const Instance& database,
-                 const std::unordered_set<PredicateId>& derivable);
 
 }  // namespace vadalog
 

@@ -28,32 +28,14 @@ constexpr uint64_t kMaxChecksPerHit = 32;
 
 }  // namespace
 
-uint64_t SubsumptionIndex::MaskOf(const std::vector<Atom>& atoms) {
-  uint64_t mask = 0;
-  for (const Atom& a : atoms) mask |= uint64_t{1} << (a.predicate % 64);
-  return mask;
-}
-
-uint64_t SubsumptionIndex::RigidMaskOf(const std::vector<Atom>& atoms) {
-  uint64_t mask = 0;
-  for (const Atom& a : atoms) {
-    for (Term t : a.args) {
-      if (t.is_rigid()) {
-        mask |= uint64_t{1} << (std::hash<Term>{}(t) & 63);
-      }
-    }
-  }
-  return mask;
-}
-
 int64_t SubsumptionIndex::Add(const CanonicalState& state, size_t width,
                               size_t chunk) {
   // The empty state never arises here (it is the accepting state).
   if (state.atoms.empty()) return -1;
   Entry entry;
   entry.atoms = state.atoms;
-  entry.mask = MaskOf(state.atoms);
-  entry.rigid_mask = RigidMaskOf(state.atoms);
+  entry.mask = state.predicate_mask;
+  entry.rigid_mask = state.rigid_mask;
   entry.width = static_cast<uint32_t>(
       std::min<size_t>(width, std::numeric_limits<uint32_t>::max()));
   entry.chunk = static_cast<uint32_t>(
@@ -86,8 +68,9 @@ int64_t SubsumptionIndex::FindSubsumer(const CanonicalState& state,
       gate_checks > gate_hits * kMaxChecksPerHit) {
     return -1;
   }
-  uint64_t state_mask = MaskOf(state.atoms);
-  uint64_t state_rigid = RigidMaskOf(state.atoms);
+  // The state's masks were computed once, with its atoms.
+  uint64_t state_mask = state.predicate_mask;
+  uint64_t state_rigid = state.rigid_mask;
   // The subsumer's predicates are a subset of the state's, so its
   // min-predicate bucket is keyed by one of the state's predicates.
   // Distinct predicates only: consecutive canonical atoms share buckets.

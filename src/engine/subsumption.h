@@ -57,7 +57,9 @@ class SubsumptionIndex {
   };
 
   /// Finds a registered state with a bound covering (width, chunk) and no
-  /// more atoms than `state` that maps homomorphically into it. Returns
+  /// more atoms than `state` that maps homomorphically into it. `state`
+  /// must carry its atoms and masks (Canonicalize or DecodeAtoms): the
+  /// masks are computed once per state, not once per probe. Returns
   /// its entry id, or -1. Same-size subsumers only count when their entry
   /// id is below `same_size_before`: a search pruning its own registered
   /// frontier passes the state's own id, which (a) excludes the state
@@ -95,18 +97,16 @@ class SubsumptionIndex {
  private:
   struct Entry {
     std::vector<Atom> atoms;  // canonical atoms of the subsumer
-    uint64_t mask;            // predicate bloom mask
-    uint64_t rigid_mask;      // bloom mask over constants and nulls
+    // The state's bloom masks (CanonicalState): a homomorphism maps
+    // predicates onto themselves and is the identity on constants and
+    // nulls, so a subsumer's predicates and rigid terms all occur in the
+    // subsumed state.
+    uint64_t mask;
+    uint64_t rigid_mask;
     uint32_t width;
     uint32_t chunk;
     char suppressed = 0;      // covered by another entry; skip in scans
   };
-
-  static uint64_t MaskOf(const std::vector<Atom>& atoms);
-  /// Bloom mask over the rigid terms (a homomorphism is the identity on
-  /// constants and nulls, so a subsumer's rigid terms must all occur in
-  /// the subsumed state).
-  static uint64_t RigidMaskOf(const std::vector<Atom>& atoms);
 
   // Entries bucketed by their smallest predicate id (a subsumer's
   // predicates are a subset of the subsumed state's, so its smallest

@@ -2,13 +2,19 @@
 
 namespace vadalog {
 
-Term Unifier::Resolve(Term t) const {
-  while (t.is_variable()) {
-    auto it = bindings_.find(t);
-    if (it == bindings_.end()) return t;
-    t = it->second;
+void Unifier::Bind(Term v, Term to) {
+  uint64_t i = v.index();
+  if (i < kMaxNear) {
+    if (i >= near_.size()) {
+      size_t old = near_.size();
+      near_.resize(i + 1);
+      for (size_t k = old; k <= i; ++k) near_[k] = Term::Variable(k);
+    }
+    near_[i] = to;
+  } else {
+    far_.emplace_back(i, to);
   }
-  return t;
+  journal_.push_back(v);
 }
 
 bool Unifier::Unify(Term a, Term b) {
@@ -16,63 +22,38 @@ bool Unifier::Unify(Term a, Term b) {
   b = Resolve(b);
   if (a == b) return true;
   if (a.is_variable()) {
-    bindings_.emplace(a, b);
-    journal_.push_back(a);
+    Bind(a, b);
     return true;
   }
   if (b.is_variable()) {
-    bindings_.emplace(b, a);
-    journal_.push_back(b);
+    Bind(b, a);
     return true;
   }
   return false;  // two distinct rigid terms
 }
 
-bool Unifier::UnifyAtoms(const Atom& a, const Atom& b) {
+bool Unifier::UnifyAtoms(const Atom& a, const Atom& b, uint64_t b_offset) {
   if (a.predicate != b.predicate || a.args.size() != b.args.size()) {
     return false;
   }
   for (size_t i = 0; i < a.args.size(); ++i) {
-    if (!Unify(a.args[i], b.args[i])) return false;
+    Term t = b.args[i];
+    if (t.is_variable()) t = Term::Variable(t.index() + b_offset);
+    if (!Unify(a.args[i], t)) return false;
   }
   return true;
 }
 
 void Unifier::Rewind(size_t mark) {
   while (journal_.size() > mark) {
-    bindings_.erase(journal_.back());
+    uint64_t i = journal_.back().index();
+    if (i < kMaxNear) {
+      near_[i] = journal_.back();
+    } else {
+      far_.pop_back();  // far bindings are journaled in the same order
+    }
     journal_.pop_back();
   }
-}
-
-Substitution Unifier::ToSubstitution() const {
-  Substitution subst;
-  for (const auto& [from, to] : bindings_) {
-    subst[from] = Resolve(from);
-  }
-  return subst;
-}
-
-std::vector<Term> Unifier::ClassOf(Term t) const {
-  Term representative = Resolve(t);
-  std::vector<Term> members;
-  if (t.is_variable()) members.push_back(t);
-  for (const auto& [from, to] : bindings_) {
-    if (from != t && Resolve(from) == representative) members.push_back(from);
-  }
-  // The representative itself, if a variable distinct from t.
-  if (representative.is_variable() && representative != t) {
-    bool present = false;
-    for (Term m : members) present = present || m == representative;
-    if (!present) members.push_back(representative);
-  }
-  return members;
-}
-
-std::optional<Substitution> MostGeneralUnifier(const Atom& a, const Atom& b) {
-  Unifier unifier;
-  if (!unifier.UnifyAtoms(a, b)) return std::nullopt;
-  return unifier.ToSubstitution();
 }
 
 }  // namespace vadalog

@@ -62,17 +62,83 @@ class ScratchLease {
   HomScratch* scratch_;
 };
 
-/// Grows the binding arrays to cover every variable of `atoms`.
-void Reserve(std::span<const Atom> atoms, HomScratch* s) {
-  uint64_t num_vars = 0;
-  for (const Atom& a : atoms) {
-    for (Term t : a.args) {
-      if (t.is_variable()) num_vars = std::max(num_vars, t.index() + 1);
+/// A pattern whose variable indices address the flat scratch arrays.
+/// The parser and the searches number variables densely, so a pattern is
+/// used as is while every index stays below kMaxVar; past that, its
+/// variables are renumbered 0, 1, ... in first-occurrence order (a
+/// bijection, so matches are unchanged). Either way the scratch grows
+/// with the number of distinct variables, never with their indices, and
+/// every flat index fits in 32 bits.
+class FlatPattern {
+ public:
+  static constexpr uint64_t kMaxVar = 4096;
+
+  explicit FlatPattern(std::span<const Atom> atoms) : atoms_(atoms) {
+    uint64_t max_var = 0;
+    bool any = false;
+    for (const Atom& a : atoms) {
+      for (Term t : a.args) {
+        if (!t.is_variable()) continue;
+        any = true;
+        max_var = std::max(max_var, t.index());
+      }
     }
+    if (!any) return;
+    if (max_var < kMaxVar) {
+      num_vars_ = max_var + 1;
+      return;
+    }
+    dense_.assign(atoms.begin(), atoms.end());
+    for (Atom& a : dense_) {
+      for (Term& t : a.args) {
+        if (!t.is_variable()) continue;
+        auto [it, inserted] = renaming_.try_emplace(
+            t.index(), static_cast<uint32_t>(original_.size()));
+        if (inserted) original_.push_back(t);
+        t = Term::Variable(it->second);
+      }
+    }
+    atoms_ = dense_;
+    num_vars_ = original_.size();
   }
-  if (s->binding.size() < num_vars) {
-    s->binding.resize(num_vars);
-    s->bound.resize(num_vars, 0);
+
+  /// The atoms to match, over flat indices.
+  std::span<const Atom> atoms() const { return atoms_; }
+
+  /// One past the largest flat index.
+  uint64_t num_vars() const { return num_vars_; }
+
+  /// The pattern's own variable behind flat index `v`.
+  Term Original(uint32_t v) const {
+    return original_.empty() ? Term::Variable(v) : original_[v];
+  }
+
+  /// The flat index of the pattern variable `t`; false if `t` is not one.
+  bool FlatIndex(Term t, uint32_t* v) const {
+    if (original_.empty()) {
+      if (t.index() >= num_vars_) return false;
+      *v = static_cast<uint32_t>(t.index());
+      return true;
+    }
+    auto it = renaming_.find(t.index());
+    if (it == renaming_.end()) return false;
+    *v = it->second;
+    return true;
+  }
+
+ private:
+  std::span<const Atom> atoms_;
+  uint64_t num_vars_ = 0;
+  std::vector<Atom> dense_;
+  std::vector<Term> original_;  // empty unless renumbered
+  std::unordered_map<uint64_t, uint32_t> renaming_;
+};
+
+/// Grows the binding arrays to cover every variable of `pattern`.
+void Reserve(const FlatPattern& pattern, HomScratch* s) {
+  if (s->binding.size() < pattern.num_vars()) {
+    s->binding.resize(pattern.num_vars());
+    s->bound.resize(pattern.num_vars(), 0);
   }
 }
 
@@ -153,15 +219,17 @@ void PlanJoin(std::span<const Atom> atoms, HomScratch* s) {
   Unbind(s, mark);
 }
 
-/// The substitution handed to callbacks. Every match binds the same
-/// variables, so their map nodes are made once and each match overwrites
-/// their images through pointers (map nodes never move): no map churn.
+/// The substitution handed to callbacks, keyed by the pattern's own
+/// variables. Every match binds the same variables, so their map nodes
+/// are made once and each match overwrites their images through pointers
+/// (map nodes never move): no map churn.
 class ReusedSubstitution {
  public:
-  ReusedSubstitution(const Substitution& seed, std::span<const uint32_t> vars)
+  ReusedSubstitution(const Substitution& seed, std::span<const uint32_t> vars,
+                     const FlatPattern& pattern)
       : h_(seed) {
     slot_.reserve(vars.size());
-    for (uint32_t v : vars) slot_.push_back(&h_[Term::Variable(v)]);
+    for (uint32_t v : vars) slot_.push_back(&h_[pattern.Original(v)]);
   }
 
   /// Sets the images of the variables, in constructor order.
@@ -222,23 +290,24 @@ bool Match(std::span<const Atom> atoms, HomScratch* s, size_t depth,
 
 }  // namespace
 
-bool ForEachHomomorphism(const std::vector<Atom>& atoms,
+bool ForEachHomomorphism(const std::vector<Atom>& original_atoms,
                          const Instance& instance, const Substitution& seed,
                          const HomomorphismCallback& callback) {
-  if (atoms.empty()) return callback(seed);
+  if (original_atoms.empty()) return callback(seed);
   ScratchLease lease;
   HomScratch* s = lease.get();
-  if (!FindRelations(atoms, instance, s)) return true;
-  Reserve(atoms, s);
+  if (!FindRelations(original_atoms, instance, s)) return true;
+  FlatPattern pattern(original_atoms);
+  std::span<const Atom> atoms = pattern.atoms();
+  Reserve(pattern, s);
   for (const auto& [from, to] : seed) {
-    if (!from.is_variable()) continue;
-    uint32_t v = static_cast<uint32_t>(from.index());
-    if (v >= s->binding.size()) continue;  // not a pattern variable
+    uint32_t v;
+    if (!from.is_variable() || !pattern.FlatIndex(from, &v)) continue;
     Bind(s, v, to);
   }
   PlanJoin(atoms, s);
 
-  ReusedSubstitution h(seed, s->free_vars);
+  ReusedSubstitution h(seed, s->free_vars, pattern);
   s->images.resize(s->free_vars.size());
   auto leaf = [&] {
     for (size_t i = 0; i < s->free_vars.size(); ++i) {
@@ -249,13 +318,15 @@ bool ForEachHomomorphism(const std::vector<Atom>& atoms,
   return Match(atoms, s, 0, leaf);
 }
 
-uint64_t ForEachDeltaTrigger(std::span<const Atom> body,
+uint64_t ForEachDeltaTrigger(std::span<const Atom> original_body,
                              std::span<const Atom> delta,
                              const Instance& instance,
                              const HomomorphismCallback& apply) {
   ScratchLease lease;
   HomScratch* s = lease.get();
-  Reserve(body, s);
+  FlatPattern flat(original_body);
+  std::span<const Atom> body = flat.atoms();
+  Reserve(flat, s);
   // Every match binds exactly the body's variables, so a match is buffered
   // as one flat row of their images and replayed into one reused
   // substitution.
@@ -269,7 +340,7 @@ uint64_t ForEachDeltaTrigger(std::span<const Atom> body,
       }
     }
   }
-  ReusedSubstitution h({}, vars);
+  ReusedSubstitution h({}, vars, flat);
 
   uint64_t enumerated = 0;
   std::vector<Term> rows;
@@ -311,11 +382,14 @@ uint64_t ForEachDeltaTrigger(std::span<const Atom> body,
   return enumerated;
 }
 
-bool HasHomomorphism(std::span<const Atom> atoms, const Instance& instance) {
+bool HasHomomorphism(std::span<const Atom> original_atoms,
+                     const Instance& instance) {
   ScratchLease lease;
   HomScratch* s = lease.get();
-  if (!FindRelations(atoms, instance, s)) return false;
-  Reserve(atoms, s);
+  if (!FindRelations(original_atoms, instance, s)) return false;
+  FlatPattern pattern(original_atoms);
+  std::span<const Atom> atoms = pattern.atoms();
+  Reserve(pattern, s);
   PlanJoin(atoms, s);
   auto stop = [] { return false; };
   return !Match(atoms, s, 0, stop);
@@ -362,8 +436,6 @@ namespace {
 /// indexed by variable index (states are canonically renamed, so indices
 /// are small and dense); candidate lists are one flat arena.
 struct StateHomScratch {
-  // Variable indices at or past this are renumbered densely first.
-  static constexpr uint64_t kMaxVar = 4096;
   std::vector<Term> binding;        // per from-variable index
   std::vector<char> bound;          // per from-variable index
   std::vector<uint32_t> touched;    // bound indices to reset
@@ -372,7 +444,7 @@ struct StateHomScratch {
   std::vector<size_t> order;
 };
 
-bool MatchStateFrom(const std::vector<Atom>& from, StateHomScratch* s,
+bool MatchStateFrom(std::span<const Atom> from, StateHomScratch* s,
                     size_t depth) {
   if (depth == s->order.size()) return true;
   const Atom& atom = from[s->order[depth]];
@@ -406,49 +478,21 @@ bool MatchStateFrom(const std::vector<Atom>& from, StateHomScratch* s,
   return false;
 }
 
-/// Renames the variables of `from` to 0, 1, ... in first-occurrence
-/// order (a bijection, so homomorphisms out of it are unchanged). Returns
-/// the largest new index; `from` must contain a variable.
-uint64_t RenumberVariablesDensely(const std::vector<Atom>& from,
-                                  std::vector<Atom>* dense) {
-  std::unordered_map<uint64_t, uint64_t> renaming;
-  *dense = from;
-  for (Atom& a : *dense) {
-    for (Term& t : a.args) {
-      if (!t.is_variable()) continue;
-      t = Term::Variable(
-          renaming.try_emplace(t.index(), renaming.size()).first->second);
-    }
-  }
-  return renaming.size() - 1;
-}
-
 }  // namespace
 
 bool HasStateHomomorphism(const std::vector<Atom>& original_from,
                           const std::vector<Atom>& onto) {
   if (original_from.empty()) return true;
-  uint64_t max_var = 0;
-  for (const Atom& a : original_from) {
-    for (Term t : a.args) {
-      if (t.is_variable()) max_var = std::max(max_var, t.index());
-    }
-  }
   // Proof states are canonically renamed, so their indices are small and
-  // match in place. Larger indices are renumbered densely first: the
-  // scratch is indexed by variable, so it then grows with the number of
-  // distinct variables, never with their indices.
-  std::vector<Atom> dense;
-  if (max_var >= StateHomScratch::kMaxVar) {
-    max_var = RenumberVariablesDensely(original_from, &dense);
-  }
-  const std::vector<Atom>& from = dense.empty() ? original_from : dense;
+  // match in place; larger ones are renumbered densely (FlatPattern).
+  FlatPattern pattern(original_from);
+  std::span<const Atom> from = pattern.atoms();
 
   static thread_local StateHomScratch scratch;
   StateHomScratch* s = &scratch;
-  if (s->binding.size() <= max_var) {
-    s->binding.resize(max_var + 1);
-    s->bound.resize(max_var + 1, 0);
+  if (s->binding.size() < pattern.num_vars()) {
+    s->binding.resize(pattern.num_vars());
+    s->bound.resize(pattern.num_vars(), 0);
   }
   s->arena.clear();
   s->span.clear();

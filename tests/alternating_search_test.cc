@@ -10,6 +10,7 @@
 #include "engine/alternating_search.h"
 #include "engine/certain.h"
 #include "engine/search_cache.h"
+#include "gen/generators.h"
 
 namespace vadalog {
 namespace {
@@ -248,6 +249,48 @@ TEST(AlternatingSearchTest, BudgetExhaustedRecordsNoCertificates) {
   EXPECT_FALSE(result.accepted);
   EXPECT_TRUE(result.budget_exhausted);
   EXPECT_EQ(cache.alt_refuted_size(), 0u);
+}
+
+// A cold proof-search workload at the end-to-end benchmark's instance
+// size, pinned: the non-linear transitive closure over a generated graph
+// (16 nodes, 12 edges, fixed seed), 32 t(x, y) decisions against one
+// shared cache under a 1000-state budget.
+TEST(AlternatingSearchTest, GeneratedGraphCountersArePinned) {
+  Program program = MakeTransitiveClosureProgram(/*linear=*/false);
+  Rng rng(7);
+  AddRandomGraphFacts(&program, "e", /*num_nodes=*/16, /*num_edges=*/12,
+                      &rng);
+  NormalizeToSingleHead(&program, nullptr);
+  Instance db = DatabaseFromFacts(program.facts());
+  ProofSearchCache cache(program, db);
+  ProofSearchOptions options;
+  options.cache = &cache;
+  options.max_states = 1000;
+  SymbolTable& symbols = program.symbols();
+  PredicateId t = symbols.FindPredicate("t");
+  auto node = [&symbols](int i) {
+    return symbols.InternConstant("v" + std::to_string(i));
+  };
+  std::string verdicts;
+  AlternatingSearchResult total;
+  for (int k = 0; k < 32; ++k) {
+    ConjunctiveQuery query;
+    query.atoms = {Atom(t, {node(k % 16), node((k * 5 + 3) % 16)})};
+    AlternatingSearchResult r =
+        AlternatingProofSearch(program, db, query, {}, options);
+    verdicts += r.accepted ? '1' : r.budget_exhausted ? 'b' : '0';
+    total.states_expanded += r.states_expanded;
+    total.proven_cached += r.proven_cached;
+    total.refuted_cached += r.refuted_cached;
+    total.subsumed_discarded += r.subsumed_discarded;
+    total.cache_hits += r.cache_hits;
+  }
+  EXPECT_EQ(verdicts, "1100000000b10b011100000000b10b01");
+  EXPECT_EQ(total.states_expanded, 5300u);
+  EXPECT_EQ(total.proven_cached, 44u);
+  EXPECT_EQ(total.refuted_cached, 348u);
+  EXPECT_EQ(total.subsumed_discarded, 2768u);
+  EXPECT_EQ(total.cache_hits, 1778u);
 }
 
 // The sequential machine's verdicts and counters are pinned: a change in

@@ -6,6 +6,9 @@
 #include "ast/parser.h"
 #include "engine/certain.h"
 #include "engine/linear_search.h"
+#include "engine/search_cache.h"
+#include "engine/state.h"
+#include "gen/generators.h"
 #include "vadalog/reasoner.h"
 
 namespace vadalog {
@@ -327,6 +330,54 @@ TEST(LinearSearchTest, RefutationCountersArePinned) {
   }
 }
 
+// A cold proof-search workload at the end-to-end benchmark's instance
+// size, pinned: a generated OWL 2 QL ontology (4 classes, 1 property, 8
+// individuals, fixed seed) and every type(individual, class) decision
+// against one shared cache under a 1000-state budget. The successor
+// pipeline may get cheaper, never explore differently.
+TEST(LinearSearchTest, GeneratedOntologyCountersArePinned) {
+  Program program = MakeOwl2QlProgram();
+  Rng rng(7);
+  AddOntologyFacts(&program, /*num_classes=*/4, /*num_properties=*/1,
+                   /*num_individuals=*/8, &rng);
+  NormalizeToSingleHead(&program, nullptr);
+  Instance db = DatabaseFromFacts(program.facts());
+  ProofSearchCache cache(program, db);
+  ProofSearchOptions options;
+  options.cache = &cache;
+  options.max_states = 1000;
+  SymbolTable& symbols = program.symbols();
+  PredicateId type = symbols.FindPredicate("type");
+  std::string verdicts;
+  ProofSearchResult total;
+  for (int i = 0; i < 8; ++i) {
+    for (int c = 0; c < 4; ++c) {
+      ConjunctiveQuery query;
+      query.atoms = {
+          Atom(type, {symbols.InternConstant("ind" + std::to_string(i)),
+                      symbols.InternConstant("class" + std::to_string(c))})};
+      ProofSearchResult r = LinearProofSearch(program, db, query, {}, options);
+      verdicts += r.accepted ? '1' : r.budget_exhausted ? 'b' : '0';
+      total.states_expanded += r.states_expanded;
+      total.states_visited += r.states_visited;
+      total.subsumed_discarded += r.subsumed_discarded;
+      total.subsumption_checks += r.subsumption_checks;
+      total.resolution_edges += r.resolution_edges;
+      total.drop_edges += r.drop_edges;
+      total.cache_hits += r.cache_hits;
+    }
+    verdicts += ' ';
+  }
+  EXPECT_EQ(verdicts, "1000 1100 1000 1000 1000 1001 1001 1000 ");
+  EXPECT_EQ(total.states_expanded, 670u);
+  EXPECT_EQ(total.states_visited, 1997u);
+  EXPECT_EQ(total.subsumed_discarded, 1318u);
+  EXPECT_EQ(total.subsumption_checks, 13191u);
+  EXPECT_EQ(total.resolution_edges, 17081u);
+  EXPECT_EQ(total.drop_edges, 697u);
+  EXPECT_EQ(total.cache_hits, 448u);
+}
+
 TEST(LinearSearchTest, StateBudgetCutsALevel) {
   TestEnv s(R"(
     t(X, Y) :- e(X, Y).
@@ -357,6 +408,23 @@ TEST(LinearSearchTest, ExplanationSurvivesPruning) {
   ASSERT_FALSE(explanation.empty());
   EXPECT_EQ(explanation.steps.front().kind, ProofStep::Kind::kStart);
   EXPECT_TRUE(explanation.steps.back().state.empty());
+  // Match-drop steps carry the database fact they used (built only for
+  // explanations), and every level's state is canonical: encoding it
+  // again and decoding gives back the same atoms.
+  size_t drops = 0;
+  for (const ProofStep& step : explanation.steps) {
+    if (step.kind == ProofStep::Kind::kMatchDrop) {
+      ++drops;
+      EXPECT_TRUE(s.db.Contains(step.matched_fact))
+          << step.matched_fact.ToString(s.program.symbols());
+    }
+    CanonicalState encoded = CanonicalEncoding(step.state);
+    EXPECT_TRUE(encoded.atoms.empty());
+    DecodeAtoms(&encoded);
+    EXPECT_EQ(encoded.atoms, step.state);
+    EXPECT_EQ(Canonicalize(step.state).atoms, step.state);
+  }
+  EXPECT_GT(drops, 0u);
 }
 
 TEST(LinearSearchTest, FreezeQueryRejectsMalformedCandidates) {

@@ -160,6 +160,49 @@ TEST(HomomorphismTest, MissingPredicateHasNoMatch) {
       std::vector<Atom>{Atom(ghost, {Term::Variable(0)})}, f.db));
 }
 
+// Pattern variables with indices far past the flat scratch range are
+// renumbered densely: the same pattern over indices 0..k, 2^24.. and
+// about 2^40 gives the same matches (keyed by its own variables), seeds
+// included, and the scratch does not grow with the indices.
+TEST(HomomorphismTest, LargeVariableIndicesMatchLikeSmallOnes) {
+  Fixture f;
+  f.db.Insert(Atom(f.e, {f.c, f.c}));
+  auto run = [&f](uint64_t base, bool seeded) {
+    auto v = [base](uint64_t i) { return Term::Variable(base + i); };
+    // e(X, Y), e(Y, Z), and e(Z, Z) through a repeated variable.
+    std::vector<Atom> pattern = {Atom(f.e, {v(0), v(1)}),
+                                 Atom(f.e, {v(1), v(2)}),
+                                 Atom(f.e, {v(2), v(2)})};
+    Substitution seed;
+    if (seeded) seed[v(0)] = f.a;
+    std::vector<std::vector<Term>> matches;
+    ForEachHomomorphism(pattern, f.db, seed, [&](const Substitution& h) {
+      EXPECT_EQ(h.size(), 3u);
+      matches.push_back({h.at(v(0)), h.at(v(1)), h.at(v(2))});
+      return true;
+    });
+    std::sort(matches.begin(), matches.end());
+    EXPECT_EQ(HasHomomorphism(pattern, f.db), !seeded || !matches.empty());
+    // The delta-trigger routine over the same body, against the one new
+    // fact e(c, c).
+    std::vector<Atom> delta = {Atom(f.e, {f.c, f.c})};
+    std::vector<std::vector<Term>> triggers;
+    ForEachDeltaTrigger(pattern, delta, f.db, [&](const Substitution& h) {
+      triggers.push_back({h.at(v(0)), h.at(v(1)), h.at(v(2))});
+      return true;
+    });
+    std::sort(triggers.begin(), triggers.end());
+    return std::make_pair(matches, triggers);
+  };
+  for (bool seeded : {false, true}) {
+    auto small = run(0, seeded);
+    EXPECT_FALSE(small.first.empty());
+    EXPECT_FALSE(small.second.empty());
+    EXPECT_EQ(run(uint64_t{1} << 24, seeded), small) << seeded;
+    EXPECT_EQ(run((uint64_t{1} << 40) + 3, seeded), small) << seeded;
+  }
+}
+
 TEST(HomomorphismTest, NestedMatchingKeepsOuterBindings) {
   // The callback matches again, reusing the outer pattern's variable
   // indices (the linear search simplifies each match-and-drop child from

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ast/parser.h"
 #include "engine/resolution.h"
+#include "engine/search_cache.h"
 #include "engine/unify.h"
+#include "storage/homomorphism.h"
+#include "storage/instance.h"
 
 namespace vadalog {
 namespace {
@@ -28,33 +33,96 @@ TEST(UnifierTest, TransitiveChainsResolve) {
   EXPECT_TRUE(u.Unify(Term::Variable(1), Term::Variable(2)));
   EXPECT_TRUE(u.Unify(Term::Variable(2), Term::Constant(9)));
   EXPECT_EQ(u.Resolve(Term::Variable(0)), Term::Constant(9));
-  Substitution subst = u.ToSubstitution();
-  EXPECT_EQ(subst.at(Term::Variable(0)), Term::Constant(9));
-  EXPECT_EQ(subst.at(Term::Variable(1)), Term::Constant(9));
+  EXPECT_EQ(u.Resolve(Term::Variable(1)), Term::Constant(9));
+  EXPECT_EQ(u.Resolve(Term::Variable(2)), Term::Constant(9));
 }
 
+// The class walk that validates existential variables: every member of
+// t's class once, bound or not, and nothing outside it.
 TEST(UnifierTest, ClassOfTracksEquivalence) {
   Unifier u;
   u.Unify(Term::Variable(0), Term::Variable(1));
   u.Unify(Term::Variable(1), Term::Variable(2));
-  std::vector<Term> cls = u.ClassOf(Term::Variable(0));
-  EXPECT_EQ(cls.size(), 3u);
+  u.Unify(Term::Variable(5), Term::Constant(7));
+  auto members = [&u](Term t) {
+    std::vector<Term> cls;
+    u.ForEachInClass(t, [&cls](Term y) {
+      cls.push_back(y);
+      return true;
+    });
+    std::sort(cls.begin(), cls.end());
+    return cls;
+  };
+  std::vector<Term> chain = {Term::Variable(0), Term::Variable(1),
+                             Term::Variable(2)};
+  EXPECT_EQ(members(Term::Variable(0)), chain);
+  EXPECT_EQ(members(Term::Variable(2)), chain);  // the unbound root
+  EXPECT_EQ(members(Term::Variable(5)), std::vector<Term>{Term::Variable(5)});
+  EXPECT_EQ(members(Term::Variable(9)), std::vector<Term>{Term::Variable(9)});
+  // The walk stops as soon as the visitor does.
+  size_t visits = 0;
+  EXPECT_FALSE(u.ForEachInClass(Term::Variable(0), [&visits](Term) {
+    ++visits;
+    return false;
+  }));
+  EXPECT_EQ(visits, 1u);
+  // Rewinding unbinds in LIFO order and splits the class again.
+  u.Rewind(1);
+  EXPECT_EQ(members(Term::Variable(0)),
+            (std::vector<Term>{Term::Variable(0), Term::Variable(1)}));
+  EXPECT_EQ(u.Resolve(Term::Variable(5)), Term::Variable(5));
+}
+
+// Variable indices far past the flat array's cap bind in the side list:
+// the same atoms over indices 0..k and over 2^24.. or 2^40.. unify to the
+// same bindings, up to the renaming.
+TEST(UnifierTest, LargeVariableIndicesUnifyLikeSmallOnes) {
+  for (uint64_t base : {uint64_t{0}, uint64_t{1} << 24,
+                        (uint64_t{1} << 40) + 3}) {
+    auto v = [base](uint64_t i) { return Term::Variable(base + i); };
+    Unifier u;
+    // p(X0, X1, X1, c5) = p(X2, X2, X3, X3): all four collapse onto c5.
+    Atom lhs(0, {v(0), v(1), v(1), Term::Constant(5)});
+    Atom rhs(0, {v(2), v(2), v(3), v(3)});
+    ASSERT_TRUE(u.UnifyAtoms(lhs, rhs)) << base;
+    for (uint64_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(u.Resolve(v(i)), Term::Constant(5)) << base << " " << i;
+    }
+    size_t members = 0;
+    u.ForEachInClass(v(0), [&members](Term) {
+      ++members;
+      return true;
+    });
+    EXPECT_EQ(members, 4u) << base;
+    // q(X0, X4) against q(c1, c2) after undoing everything: the offset
+    // form reads the second atom's variables shifted past the first's.
+    u.Rewind(0);
+    Atom pattern(1, {v(0), v(4)});
+    Atom rule(1, {Term::Variable(0), Term::Variable(0)});
+    ASSERT_TRUE(u.UnifyAtoms(pattern, rule, base + 10)) << base;
+    EXPECT_EQ(u.Resolve(v(0)), u.Resolve(v(4))) << base;
+    EXPECT_EQ(u.Resolve(Term::Variable(base + 10)), u.Resolve(v(0))) << base;
+    EXPECT_FALSE(u.UnifyAtoms(Atom(1, {v(0), Term::Constant(1)}),
+                              Atom(1, {Term::Constant(2), v(0)})))
+        << base;
+  }
 }
 
 TEST(UnifierTest, AtomUnification) {
   // R(x, a) and R(b, y) unify with x→b, y→a.
   Atom lhs(0, {Term::Variable(0), Term::Constant(10)});
   Atom rhs(0, {Term::Constant(11), Term::Variable(1)});
-  std::optional<Substitution> mgu = MostGeneralUnifier(lhs, rhs);
-  ASSERT_TRUE(mgu.has_value());
-  EXPECT_EQ(mgu->at(Term::Variable(0)), Term::Constant(11));
-  EXPECT_EQ(mgu->at(Term::Variable(1)), Term::Constant(10));
+  Unifier u;
+  ASSERT_TRUE(u.UnifyAtoms(lhs, rhs));
+  EXPECT_EQ(u.Resolve(Term::Variable(0)), Term::Constant(11));
+  EXPECT_EQ(u.Resolve(Term::Variable(1)), Term::Constant(10));
 }
 
 TEST(UnifierTest, PredicateMismatchFails) {
   Atom lhs(0, {Term::Variable(0)});
   Atom rhs(1, {Term::Variable(1)});
-  EXPECT_FALSE(MostGeneralUnifier(lhs, rhs).has_value());
+  Unifier u;
+  EXPECT_FALSE(u.UnifyAtoms(lhs, rhs));
 }
 
 struct ResolutionFixture {
@@ -190,6 +258,145 @@ TEST(ResolutionTest, ResolveAllCoversAllRules) {
   std::vector<Atom> state = f.QueryAtoms("?(X) :- t(X, W).");
   std::vector<Resolvent> resolvents = ResolveAll(state, f.program, 100, 4);
   EXPECT_EQ(resolvents.size(), 2u);
+}
+
+// The proof searches' resolution is dead-first: it returns exactly the
+// unfiltered resolvents StateIsDead accepts, in the same order with the
+// same chunks, and reports the rest as dropped.
+TEST(ResolutionTest, DeadFirstFilterDropsExactlyTheDeadResolvents) {
+  ResolutionFixture f(R"(
+    subclassStar(X, Y) :- subclass(X, Y).
+    subclassStar(X, Z) :- subclassStar(X, Y), subclass(Y, Z).
+    type(X, Z) :- type(X, Y), subclassStar(Y, Z).
+    triple(X, Z, W) :- type(X, Y), restriction(Y, Z).
+    type(X, W) :- triple(X, Y, Z), restriction(W, Y).
+    subclass(cat, mammal). subclass(mammal, animal).
+    type(tom, cat). restriction(hunter, hunts). type(tom, hunter).
+  )");
+  NormalizeToSingleHead(&f.program, nullptr);
+  Instance db = DatabaseFromFacts(f.program.facts());
+  ProgramIndex index(f.program, db);
+  SymbolTable& symbols = f.program.symbols();
+  Term tom = symbols.InternConstant("tom");
+  Term animal = symbols.InternConstant("animal");
+  Term hunts = symbols.InternConstant("hunts");
+  PredicateId type = symbols.FindPredicate("type");
+  PredicateId triple = symbols.FindPredicate("triple");
+  PredicateId star = symbols.FindPredicate("subclassStar");
+  std::vector<std::vector<Atom>> states = {
+      {Atom(type, {tom, animal})},
+      {Atom(type, {tom, hunts})},
+      {Atom(type, {Term::Variable(0), animal}),
+       Atom(triple, {Term::Variable(0), hunts, Term::Variable(1)})},
+      {Atom(star, {Term::Variable(0), animal}),
+       Atom(type, {tom, Term::Variable(0)})},
+  };
+  size_t total_dropped = 0;
+  size_t total_kept = 0;
+  for (size_t s = 0; s < states.size(); ++s) {
+    const std::vector<Atom>& state = states[s];
+    for (size_t tgd = 0; tgd < f.program.tgds().size(); ++tgd) {
+      for (size_t anchor = 0; anchor < state.size(); ++anchor) {
+        SCOPED_TRACE(testing::Message() << "state " << s << " tgd " << tgd
+                                        << " anchor " << anchor);
+        std::vector<Resolvent> all =
+            ResolveWithTgd(state, f.program, tgd, 100, 4, anchor);
+        std::vector<Resolvent> kept;
+        size_t dropped = ResolveWithTgd(state, f.program, index, db, tgd,
+                                        100, 4, anchor, &kept);
+        std::vector<const Resolvent*> alive;
+        size_t dead_run = 0;
+        std::vector<size_t> dead_before;
+        for (const Resolvent& r : all) {
+          if (index.StateIsDead(r.atoms, db)) {
+            ++dead_run;
+            continue;
+          }
+          alive.push_back(&r);
+          dead_before.push_back(dead_run);
+          dead_run = 0;
+        }
+        ASSERT_EQ(kept.size(), alive.size());
+        EXPECT_EQ(dropped, all.size() - alive.size());
+        for (size_t i = 0; i < kept.size(); ++i) {
+          EXPECT_EQ(kept[i].atoms, alive[i]->atoms);
+          EXPECT_EQ(kept[i].chunk, alive[i]->chunk);
+          EXPECT_EQ(kept[i].tgd_index, alive[i]->tgd_index);
+          EXPECT_EQ(kept[i].dead_before, dead_before[i]);
+        }
+        total_dropped += dropped;
+        total_kept += kept.size();
+      }
+    }
+  }
+  // The fixture exercises both outcomes.
+  EXPECT_GT(total_dropped, 0u);
+  EXPECT_GT(total_kept, 0u);
+}
+
+// Match-and-drop without substitution maps: DropPlan's children are the
+// database matcher's matches of the pivot applied to the other atoms, in
+// the matcher's order, and its dead test agrees with StateIsDead.
+TEST(DropPlanTest, ChildrenFollowTheMatcher) {
+  ResolutionFixture f(R"(
+    t(X, Y) :- e(X, Y).
+    t(X, Z) :- e(X, Y), t(Y, Z).
+    e(a, b). e(b, c). e(c, c). e(a, c). e(c, a). g(b, a). g(c, c).
+  )");
+  NormalizeToSingleHead(&f.program, nullptr);
+  Instance db = DatabaseFromFacts(f.program.facts());
+  ProgramIndex index(f.program, db);
+  SymbolTable& symbols = f.program.symbols();
+  Term a = symbols.InternConstant("a");
+  Term c = symbols.InternConstant("c");
+  PredicateId e = symbols.FindPredicate("e");
+  PredicateId g = symbols.FindPredicate("g");
+  PredicateId t = symbols.FindPredicate("t");
+  Term x = Term::Variable(0);
+  Term y = Term::Variable(1);
+  Term z = Term::Variable(2);
+  std::vector<std::vector<Atom>> states = {
+      {Atom(e, {x, y}), Atom(t, {y, z}), Atom(g, {y, x})},
+      {Atom(e, {a, y}), Atom(g, {y, z}), Atom(t, {z, c})},
+      {Atom(e, {x, x}), Atom(g, {x, y})},
+      {Atom(e, {x, y}), Atom(e, {y, x})},
+  };
+  size_t children = 0;
+  size_t dead = 0;
+  DropPlan plan;  // reused across plans, like the linear search's
+  for (size_t s = 0; s < states.size(); ++s) {
+    const std::vector<Atom>& state = states[s];
+    for (size_t selected = 0; selected < state.size(); ++selected) {
+      SCOPED_TRACE(testing::Message() << "state " << s << " pivot "
+                                      << selected);
+      std::vector<Atom> rest;
+      for (size_t i = 0; i < state.size(); ++i) {
+        if (i != selected) rest.push_back(state[i]);
+      }
+      std::vector<std::vector<Atom>> expected;
+      std::vector<Atom> facts;
+      ForEachHomomorphism({state[selected]}, db, {},
+                          [&](const Substitution& h) {
+                            expected.push_back(ApplySubstitution(h, rest));
+                            facts.push_back(
+                                ApplySubstitution(h, state[selected]));
+                            return true;
+                          });
+      plan.Plan(state, selected, index, db);
+      ASSERT_EQ(plan.size(), expected.size());
+      std::vector<Atom> child;
+      for (size_t k = 0; k < plan.size(); ++k) {
+        plan.BuildChild(k, &child);
+        EXPECT_EQ(child, expected[k]) << k;
+        EXPECT_EQ(Atom(plan.predicate(), plan.Tuple(k)), facts[k]) << k;
+        EXPECT_EQ(plan.ChildIsDead(k), index.StateIsDead(child, db)) << k;
+        ++children;
+        dead += plan.ChildIsDead(k) ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(children, dead);
+  EXPECT_GT(dead, 0u);
 }
 
 }  // namespace
