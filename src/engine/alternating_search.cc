@@ -39,13 +39,6 @@ struct Outcome {
   size_t min_touch;  // shallowest on-path ancestor hit by cycle pruning
 };
 
-/// A successor state that has not been gated yet (raw atoms plus the
-/// incremental-simplification dirty flags).
-struct ChildState {
-  std::vector<Atom> atoms;
-  std::vector<char> dirty;
-};
-
 /// One entry of the deferred record log: a memoized state (pointing into
 /// the searcher's node-based memo sets) and its verdict.
 struct Record {
@@ -68,6 +61,10 @@ class Searcher {
       : ctx_(ctx), result_(result) {}
 
   bool Prove(std::vector<Atom> atoms) {
+    // The only dead test the search runs itself: every OR child was
+    // tested atom by atom before its cursor built it, and an AND
+    // component is part of a state that passed.
+    if (ctx_.index.StateIsDead(atoms, ctx_.database)) return false;
     child_.atoms = std::move(atoms);
     child_.dirty.assign(child_.atoms.size(), 1);
     Outcome out;
@@ -83,39 +80,26 @@ class Searcher {
   /// One AND/OR tree node. The frame index in `stack_` IS the node's
   /// proof-tree depth: the on-path cycle table and min_touch
   /// path-independence tracking key off this explicit structure, exactly
-  /// as the recursive engine keyed off call depth.
+  /// as the recursive engine keyed off call depth. An AND node walks its
+  /// variable-disjoint components; an OR node walks the successors of its
+  /// state through a cursor, which holds no pointer into the frame, so
+  /// frames may move as `stack_` grows.
   struct Frame {
     CanonicalState state;
     size_t min_touch = kNoTouch;
     bool is_and = false;
-    // AND node: variable-disjoint components, proved in order.
-    std::vector<std::vector<Atom>> components;
-    // OR node: match-and-drop children (one per database row the
-    // selected atom matches), then chunk resolvents per relevance-bucket
-    // TGD, generated lazily one TGD at a time like the recursive engine.
-    DropPlan drop;
-    std::vector<char> rest_dirty;
-    std::vector<int> component_ids;
-    std::vector<Resolvent> resolvents;
-    const std::vector<size_t>* tgds = nullptr;
-    uint64_t fresh_base = 0;
-    uint32_t selected = 0;
-    uint32_t next_child = 0;  // component / match cursor
-    uint32_t next_tgd = 0;
-    uint32_t next_resolvent = 0;
+    std::vector<std::vector<Atom>> components;  // AND: proved in order
+    uint32_t next_component = 0;
+    SuccessorCursor successors;  // OR
   };
 
   /// Decides or expands the child goal in `child_` through the stages
-  /// dead → simplify → width → encode → probe → materialize (the child's
+  /// simplify → width → encode → probe → materialize (the child's
   /// buffers are consumed as scratch). Returns true when the goal is
   /// decided on the spot (`*out` set); otherwise pushes the expansion
   /// frame and returns false.
   bool Gate(Outcome* out) {
     std::vector<Atom>& atoms = child_.atoms;
-    if (ctx_.index.StateIsDead(atoms, ctx_.database)) {
-      *out = {false, kNoTouch};
-      return true;
-    }
     EagerSimplifyIncremental(&atoms, ctx_.database, &child_.dirty);
     if (atoms.empty()) {
       *out = {true, kNoTouch};
@@ -210,84 +194,22 @@ class Searcher {
       f.is_and = true;
       f.components = std::move(components);
     } else {
-      // OR node: operations through the selected atom.
-      f.selected = static_cast<uint32_t>(
-          SelectAtom(state.atoms, ctx_.database));
-      const Atom& pivot = state.atoms[f.selected];
-      f.component_ids = ComponentIds(state.atoms);
-      int pivot_component = f.component_ids[f.selected];
-      f.rest_dirty.reserve(state.atoms.size() - 1);
-      for (size_t i = 0; i < state.atoms.size(); ++i) {
-        if (i == f.selected) continue;
-        f.rest_dirty.push_back(
-            f.component_ids[i] == pivot_component ? 1 : 0);
-      }
-      f.drop.Plan(state.atoms, f.selected, ctx_.index, ctx_.database);
-      uint64_t fresh_base = 0;
-      for (const Atom& a : state.atoms) {
-        for (Term t : a.args) {
-          if (t.is_variable()) {
-            fresh_base = std::max(fresh_base, t.index() + 1);
-          }
-        }
-      }
-      f.fresh_base = fresh_base;
-      // Chunks through the pivot exist only for TGDs whose head
-      // predicate matches it: resolve against the relevance bucket.
-      f.tgds = &ctx_.index.TgdsWithHead(pivot.predicate);
+      // OR node: the operations through the selected atom.
+      f.successors.Start(state.atoms, ctx_.program, ctx_.index,
+                         ctx_.database, ctx_.max_chunk);
     }
     f.state = std::move(state);
     stack_.push_back(std::move(f));
   }
 
-  /// Produces the next not-yet-gated child of the top frame, in the same
-  /// order the recursive engine descended: components (AND), else
-  /// match-and-drop homomorphisms, then anchored resolvents TGD by TGD.
-  bool NextChild(Frame* f, ChildState* child) {
-    if (f->is_and) {
-      if (f->next_child >= f->components.size()) return false;
-      child->atoms = std::move(f->components[f->next_child++]);
-      child->dirty.assign(child->atoms.size(), 0);
-      return true;
-    }
-    // Match-and-drop children, dead-first: a child with a dead atom
-    // would fail at the gate without side effects, so it is skipped
-    // unbuilt. The matched rows were planned whole at expansion: when a
-    // child proves early this pays for matches no child uses, but
-    // refutations — the expensive case — enumerate everything either
-    // way. The plan is freed as soon as it is drained so deep proofs
-    // don't pin one per live frame.
-    while (f->next_child < f->drop.size()) {
-      size_t k = f->next_child++;
-      bool live = !f->drop.ChildIsDead(k);
-      if (live) {
-        f->drop.BuildChild(k, &child->atoms);
-        child->dirty = f->rest_dirty;
-      }
-      if (f->next_child >= f->drop.size()) {
-        f->drop = DropPlan();
-        f->next_child = 0;  // drained; the cursor is no longer consulted
-      }
-      if (live) return true;
-    }
-    while (true) {
-      if (f->next_resolvent < f->resolvents.size()) {
-        Resolvent& r = f->resolvents[f->next_resolvent++];
-        ResolventDirtyFlags(f->component_ids, r.chunk, r.atoms.size(),
-                            &child->dirty);
-        child->atoms = std::move(r.atoms);
-        return true;
-      }
-      if (f->tgds == nullptr || f->next_tgd >= f->tgds->size()) {
-        return false;
-      }
-      // Dead resolvents are dropped unbuilt, like dead match children.
-      ResolveWithTgd(f->state.atoms, ctx_.program, ctx_.index,
-                     ctx_.database, (*f->tgds)[f->next_tgd++],
-                     f->fresh_base, ctx_.max_chunk, f->selected,
-                     &f->resolvents);
-      f->next_resolvent = 0;
-    }
+  /// Produces the next not-yet-gated child of the top frame: its next
+  /// component (AND), else its cursor's next successor (OR).
+  bool NextChild(Frame* f, Successor* child) {
+    if (!f->is_and) return f->successors.Next(f->state.atoms, child);
+    if (f->next_component >= f->components.size()) return false;
+    child->atoms = std::move(f->components[f->next_component++]);
+    child->dirty.assign(child->atoms.size(), 0);
+    return true;
   }
 
   /// Pops the top frame with its verdict: memo insertion (refuted only
@@ -360,7 +282,7 @@ class Searcher {
   std::unordered_set<CanonicalState, CanonicalStateHash> refuted_;
   std::vector<Record> log_;
   SubsumptionIndex refuted_subsumers_;  // this search's own refutations
-  ChildState child_;  // the child being gated; its buffers are reused
+  Successor child_;  // the child being gated; its buffers are reused
 };
 
 }  // namespace

@@ -32,27 +32,6 @@ struct ParentEdge {
   ProofStep step;                // op that produced the child
 };
 
-/// A successor that survived the expansion-side filters (simplify, width,
-/// dead-state, visited snapshot, exact cache) and awaits the merge phase.
-struct Candidate {
-  CanonicalState state;
-  ProofStep step;  // provenance; only populated with explanations on
-  const CanonicalState* visited = nullptr;  // node in the visited table
-  bool fresh = false;  // true iff this candidate inserted that node
-};
-
-/// Everything one frontier expansion produces (one slot per frontier
-/// index), merged afterwards in frontier order.
-struct ExpandOutput {
-  std::vector<Candidate> candidates;
-  bool accepted = false;
-  ProofStep accept_step;
-  uint64_t drop_edges = 0;
-  uint64_t resolution_edges = 0;
-  uint64_t cache_hits = 0;
-  size_t peak_state_bytes = 0;
-};
-
 /// One queued frontier state plus its subsumption-index registration id
 /// (the deterministic tie-break for same-size subsumption).
 struct LevelEntry {
@@ -60,13 +39,15 @@ struct LevelEntry {
   int64_t ordinal;
 };
 
-/// The level-synchronous BFS driver. Each level is (1) filtered by
-/// subsumption, (2) expanded against the visited table as of the level
-/// start, (3) deduplicated into the visited table in frontier order, and
-/// (4) merged in frontier order (acceptance, provenance, subsumption
-/// registration, next frontier). Successors found within one level are
-/// therefore never deduplicated against each other during expansion,
-/// which fixes the exploration counters to the level structure.
+/// The BFS itself: the determinized walk of the nondeterministic
+/// machine, which only needs "have I seen this state?". Each level is
+/// filtered by subsumption and then expanded in frontier order, one
+/// SuccessorCursor per state. A successor that survives the stages is
+/// deduplicated into the visited table at once (MakeCandidate), which
+/// also registers it for subsumption, records its provenance and queues
+/// it on the next level. Expansion order is frontier order, so the first
+/// accepting successor found is the first accepting edge, and the search
+/// stops there whether or not an explanation is recorded.
 class LinearSearcher {
  public:
   LinearSearcher(const Program& program, const Instance& database,
@@ -91,31 +72,29 @@ class LinearSearcher {
   }
 
   void Run(std::vector<Atom> frozen) {
-    std::vector<LevelEntry> level;
-    {
-      // The initial state goes through the same pipeline with a synthetic
-      // kStart edge and an all-dirty certificate.
-      ExpandOutput seed;
-      dirty_.assign(frozen.size(), 1);
-      ProofStep start;
-      start.kind = ProofStep::Kind::kStart;
-      MakeCandidate(&frozen, &dirty_, std::move(start), &seed);
-      std::vector<const CanonicalState*> no_parent = {nullptr};
-      std::vector<ExpandOutput*> seed_outputs = {&seed};
-      MergeOutputs(no_parent, seed_outputs, &level);
-      AccumulateCounters(seed);
-      if (result_->accepted) return Finish();
-    }
+    // The only dead test the search runs itself: every successor was
+    // tested atom by atom before the cursor built it.
+    if (index_.StateIsDead(frozen, database_)) return Finish();
+    // The initial state goes through the same stages as a successor, as
+    // a kStart edge from the root with every atom dirty.
+    static const std::vector<uint64_t> kRootEncoding;
+    parent_ = &kRootEncoding;
+    successor_.dirty.assign(frozen.size(), 1);
+    successor_.atoms = std::move(frozen);
+    successor_.kind = ProofStep::Kind::kStart;
+    MakeCandidate();
 
-    while (!level.empty() && !result_->accepted &&
+    std::vector<LevelEntry> level;
+    while (!next_level_.empty() && !result_->accepted &&
            !result_->budget_exhausted) {
+      level.swap(next_level_);
+      next_level_.clear();
       // Subsumption pruning happens here, per level, just before the
       // expansion: one pass against everything registered so far —
       // including this level's own siblings (discard + retirement
       // unified). States a budget cut strands unexpanded never pay for a
       // query.
       if (subsumption_) FilterLevel(&level);
-      if (level.empty()) break;
 
       size_t allowed = level.size();
       if (max_states_ != 0) {
@@ -127,20 +106,15 @@ class LinearSearcher {
           result_->budget_exhausted = true;  // part of the level is cut
         }
       }
-
-      std::vector<ExpandOutput> outputs(allowed);
-      result_->states_expanded += ExpandLevel(level, allowed, &outputs);
-      for (const ExpandOutput& out : outputs) AccumulateCounters(out);
-
-      std::vector<const CanonicalState*> parent_states(allowed);
-      std::vector<ExpandOutput*> output_ptrs(allowed);
-      for (size_t i = 0; i < allowed; ++i) {
-        parent_states[i] = level[i].state;
-        output_ptrs[i] = &outputs[i];
+      for (size_t i = 0; i < allowed && !result_->accepted; ++i) {
+        if (timed_ && (i & 63) == 0 &&
+            std::chrono::steady_clock::now() >= deadline_) {
+          result_->budget_exhausted = true;
+          break;
+        }
+        ++result_->states_expanded;
+        ExpandState(*level[i].state);
       }
-      std::vector<LevelEntry> next;
-      MergeOutputs(parent_states, output_ptrs, &next);
-      level = std::move(next);
     }
     Finish();
   }
@@ -181,181 +155,71 @@ class LinearSearcher {
     level->resize(kept);
   }
 
-  /// Expands `level[0..allowed)` into `outputs`. Returns the number of
-  /// completed expansions (less than `allowed` only on early accept /
-  /// deadline stop).
-  size_t ExpandLevel(const std::vector<LevelEntry>& level, size_t allowed,
-                     std::vector<ExpandOutput>* outputs) {
-    // Early accept-abort trades which proof is found for wall-clock; with
-    // explanations requested every state is finished so the merge
-    // deterministically picks the first accepting edge in frontier order.
-    const bool abort_on_accept = explanation_ == nullptr;
-    for (size_t i = 0; i < allowed; ++i) {
-      if (timed_ && (i & 63) == 0 &&
-          std::chrono::steady_clock::now() >= deadline_) {
-        result_->budget_exhausted = true;
-        return i;
-      }
-      ExpandState(*level[i].state, &(*outputs)[i]);
-      if ((*outputs)[i].accepted && abort_on_accept) return i + 1;
+  /// Expands one canonical state: every successor its cursor yields, in
+  /// order, until one accepts.
+  void ExpandState(const CanonicalState& state) {
+    parent_ = &state.encoding;
+    successors_.Start(state.atoms, program_, index_, database_, max_chunk_);
+    while (successors_.Next(state.atoms, &successor_)) {
+      if (MakeCandidate()) break;
     }
-    return allowed;
+    result_->drop_edges += successors_.drop_edges();
+    result_->resolution_edges += successors_.resolution_edges();
   }
 
-  /// Expands one canonical state: match-and-drop plus anchored chunk
-  /// resolutions through the selected atom. Both generators are
-  /// dead-first (a dead successor is counted as an edge but never built),
-  /// and every buffer here is reused from one expansion to the next.
-  void ExpandState(const CanonicalState& state, ExpandOutput* out) {
-    size_t selected = SelectAtom(state.atoms, database_);
-    ComponentIds(state.atoms, &components_);
-    int pivot_component = components_[selected];
-
-    // Match-and-drop: each database row the selected atom matches is one
-    // specialization guess; the atom becomes a leaf. Only the pivot's
-    // component loses an atom, so only its remnants need
-    // re-simplification (the bindings touch no other component).
-    drop_.Plan(state.atoms, selected, index_, database_);
-    rest_dirty_.clear();
-    for (size_t i = 0; i < state.atoms.size(); ++i) {
-      if (i == selected) continue;
-      rest_dirty_.push_back(components_[i] == pivot_component ? 1 : 0);
-    }
-    for (size_t k = 0; k < drop_.size(); ++k) {
-      ++out->drop_edges;
-      if (drop_.ChildIsDead(k)) continue;
-      ProofStep step;
-      step.kind = ProofStep::Kind::kMatchDrop;
-      if (explanation_ != nullptr) {
-        step.matched_fact = Atom(drop_.predicate(), drop_.Tuple(k));
-      }
-      drop_.BuildChild(k, &child_);
-      dirty_ = rest_dirty_;
-      if (MakeCandidate(&child_, &dirty_, std::move(step), out)) return;
-    }
-
-    // Resolution: every chunk unifier whose chunk contains the selected
-    // atom (Definition 4.3), over the per-predicate relevance bucket.
-    uint64_t fresh_base = 0;
-    for (const Atom& a : state.atoms) {
-      for (Term t : a.args) {
-        if (t.is_variable()) fresh_base = std::max(fresh_base, t.index() + 1);
-      }
-    }
-    PredicateId pivot = state.atoms[selected].predicate;
-    for (size_t tgd_index : index_.TgdsWithHead(pivot)) {
-      size_t dead = ResolveWithTgd(state.atoms, program_, index_, database_,
-                                   tgd_index, fresh_base, max_chunk_,
-                                   /*anchor=*/selected, &resolvents_);
-      for (Resolvent& r : resolvents_) {
-        // Edges are counted in enumeration order, dead ones included.
-        out->resolution_edges += r.dead_before + 1;
-        dead -= r.dead_before;
-        ProofStep step;
-        step.kind = ProofStep::Kind::kResolution;
-        step.tgd_index = tgd_index;
-        ResolventDirtyFlags(components_, r.chunk, r.atoms.size(), &dirty_);
-        if (MakeCandidate(&r.atoms, &dirty_, std::move(step), out)) return;
-      }
-      out->resolution_edges += dead;  // dropped after the last survivor
-    }
-  }
-
-  /// One successor through the stages dead → simplify → width → encode →
-  /// probe → materialize: rejected as early as possible, encoded before
-  /// it is probed, and decoded into atoms only once it survives. Returns
-  /// true on acceptance (empty state), which stops the surrounding
-  /// expansion. `atoms` and `dirty` are consumed as scratch.
-  bool MakeCandidate(std::vector<Atom>* atoms, std::vector<char>* dirty,
-                     ProofStep step, ExpandOutput* out) {
-    if (index_.StateIsDead(*atoms, database_)) return false;
-    EagerSimplifyIncremental(atoms, database_, dirty);
-    if (atoms->size() > width_) return false;  // pruned by Theorem 4.8
-    CanonicalState canonical = CanonicalEncoding(*atoms);
+  /// Takes `successor_` through the stages simplify → width → encode →
+  /// probe → materialize → visit: rejected as early as possible, encoded
+  /// before it is probed, decoded into atoms only once it survives, and
+  /// then visited on the spot. Returns true on acceptance (empty state).
+  /// The successor's buffers are consumed as scratch.
+  bool MakeCandidate() {
+    std::vector<Atom>& atoms = successor_.atoms;
+    EagerSimplifyIncremental(&atoms, database_, &successor_.dirty);
+    if (atoms.size() > width_) return false;  // pruned by Theorem 4.8
+    CanonicalState canonical = CanonicalEncoding(atoms);
     if (canonical.encoding.empty()) {
-      out->accepted = true;
-      if (explanation_ != nullptr) out->accept_step = std::move(step);
+      result_->accepted = true;
+      if (explanation_ != nullptr) {
+        parents_.try_emplace(std::vector<uint64_t>{},
+                             ParentEdge{*parent_, Step({})});
+      }
       return true;
     }
-    out->peak_state_bytes =
-        std::max(out->peak_state_bytes, canonical.ApproximateBytes());
-    // Snapshot dedupe: the visited table as of the level start (the merge
-    // re-checks authoritatively, so intra-level duplicates are fine).
+    result_->peak_state_bytes =
+        std::max(result_->peak_state_bytes, canonical.ApproximateBytes());
     if (visited_.count(canonical) > 0) return false;
     if (cache_ != nullptr &&
         cache_->LinearKnownRefuted(canonical, width_, max_chunk_)) {
-      ++out->cache_hits;  // a previous search refuted this whole subtree
+      ++result_->cache_hits;  // a previous search refuted this whole subtree
       return false;
     }
     DecodeAtoms(&canonical);
-    if (explanation_ != nullptr) step.state = canonical.atoms;
-    Candidate candidate;
-    candidate.state = std::move(canonical);
-    candidate.step = std::move(step);
-    out->candidates.push_back(std::move(candidate));
+    const CanonicalState* state = &*visited_.insert(std::move(canonical)).first;
+    visit_order_.push_back(state);
+    result_->visited_bytes += state->ApproximateBytes();
+    if (explanation_ != nullptr) {
+      parents_.try_emplace(state->encoding,
+                           ParentEdge{*parent_, Step(state->atoms)});
+    }
+    // The subsumption *queries* happen later, in FilterLevel, so
+    // unexpanded states never pay for them.
+    int64_t ordinal =
+        subsumption_ ? visited_subsumers_.Add(*state, width_, max_chunk_) : 0;
+    next_level_.push_back(LevelEntry{state, ordinal});
     return false;
   }
 
-  /// Dedupes every candidate into the visited table in frontier order,
-  /// logging fresh states in first-visit order.
-  void DedupeCandidates(const std::vector<ExpandOutput*>& outputs) {
-    for (ExpandOutput* out : outputs) {
-      for (Candidate& candidate : out->candidates) {
-        // The candidate state is dead after this (visited/fresh carry
-        // everything the merge needs), so move it into the table.
-        auto [it, inserted] = visited_.insert(std::move(candidate.state));
-        candidate.visited = &*it;
-        candidate.fresh = inserted;
-        if (inserted) visit_order_.push_back(&*it);
-      }
+  /// The proof step that made `successor_`, labelled with `state`.
+  ProofStep Step(const std::vector<Atom>& state) const {
+    ProofStep step;
+    step.kind = successor_.kind;
+    step.tgd_index = successor_.tgd_index;
+    if (successor_.matched_tuple != nullptr) {
+      step.matched_fact =
+          Atom(successor_.matched_predicate, *successor_.matched_tuple);
     }
-  }
-
-  /// Sequential merge in frontier order — acceptance, provenance,
-  /// subsumption registration, and the next frontier. The subsumption
-  /// *queries* happen later, in FilterLevel, so unexpanded states never
-  /// pay for them. `parents[i]` may be null (the synthetic root).
-  void MergeOutputs(const std::vector<const CanonicalState*>& parents,
-                    const std::vector<ExpandOutput*>& outputs,
-                    std::vector<LevelEntry>* next_level) {
-    DedupeCandidates(outputs);
-
-    static const std::vector<uint64_t> kRootEncoding;
-    for (size_t i = 0; i < outputs.size(); ++i) {
-      const ExpandOutput& out = *outputs[i];
-      const std::vector<uint64_t>& parent_encoding =
-          parents[i] == nullptr ? kRootEncoding : parents[i]->encoding;
-      if (out.accepted) {
-        result_->accepted = true;
-        if (explanation_ != nullptr) {
-          parents_.try_emplace(std::vector<uint64_t>{},
-                               ParentEdge{parent_encoding, out.accept_step});
-        }
-        return;  // deterministic: first accepting edge in frontier order
-      }
-      for (const Candidate& candidate : out.candidates) {
-        if (explanation_ != nullptr) {
-          parents_.try_emplace(candidate.visited->encoding,
-                               ParentEdge{parent_encoding, candidate.step});
-        }
-        if (!candidate.fresh) continue;  // duplicate of an earlier state
-        const CanonicalState* state = candidate.visited;
-        result_->visited_bytes += state->ApproximateBytes();
-        int64_t ordinal =
-            subsumption_
-                ? visited_subsumers_.Add(*state, width_, max_chunk_)
-                : 0;
-        next_level->push_back(LevelEntry{state, ordinal});
-      }
-    }
-  }
-
-  void AccumulateCounters(const ExpandOutput& out) {
-    result_->drop_edges += out.drop_edges;
-    result_->resolution_edges += out.resolution_edges;
-    result_->cache_hits += out.cache_hits;
-    result_->peak_state_bytes =
-        std::max(result_->peak_state_bytes, out.peak_state_bytes);
+    step.state = state;
+    return step;
   }
 
   void Finish() {
@@ -408,13 +272,12 @@ class LinearSearcher {
   std::unordered_map<std::vector<uint64_t>, ParentEdge, EncodingHash>
       parents_;
 
+  std::vector<LevelEntry> next_level_;  // fresh states, in visit order
+
   // Expansion scratch, reused across states.
-  std::vector<int> components_;
-  DropPlan drop_;
-  std::vector<char> rest_dirty_;
-  std::vector<char> dirty_;
-  std::vector<Atom> child_;
-  std::vector<Resolvent> resolvents_;
+  const std::vector<uint64_t>* parent_ = nullptr;  // the expanding state
+  SuccessorCursor successors_;
+  Successor successor_;
 };
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "engine/search_cache.h"
+#include "engine/state.h"
 #include "engine/unify.h"
 
 namespace vadalog {
@@ -397,6 +398,87 @@ void DropPlan::BuildChild(size_t k, std::vector<Atom>* child) const {
   const std::vector<Term>& tuple = Tuple(k);
   for (const Slot& slot : slots_) {
     (*child)[slot.atom].args[slot.arg] = tuple[slot.pivot];
+  }
+}
+
+void SuccessorCursor::Start(const std::vector<Atom>& state,
+                            const Program& program, const ProgramIndex& index,
+                            const Instance& database, size_t max_chunk) {
+  program_ = &program;
+  index_ = &index;
+  database_ = &database;
+  max_chunk_ = max_chunk;
+  selected_ = SelectAtom(state, database);
+  // A drop removes the selected atom and binds only variables of its
+  // component, so only that component's remnants need re-simplification.
+  ComponentIds(state, &components_);
+  int pivot_component = components_[selected_];
+  rest_dirty_.clear();
+  rest_dirty_.reserve(state.size() - 1);
+  for (size_t i = 0; i < state.size(); ++i) {
+    if (i != selected_) {
+      rest_dirty_.push_back(components_[i] == pivot_component ? 1 : 0);
+    }
+  }
+  drop_.Plan(state, selected_, index, database);
+  next_drop_ = 0;
+  // Chunks through the selected atom exist only for TGDs whose head
+  // predicate matches it; their body variables are renamed past the
+  // state's.
+  fresh_base_ = 0;
+  for (const Atom& a : state) {
+    for (Term t : a.args) {
+      if (t.is_variable()) fresh_base_ = std::max(fresh_base_, t.index() + 1);
+    }
+  }
+  tgds_ = &index.TgdsWithHead(state[selected_].predicate);
+  next_tgd_ = 0;
+  resolvents_.clear();
+  next_resolvent_ = 0;
+  dead_left_ = 0;
+  drop_edges_ = 0;
+  resolution_edges_ = 0;
+}
+
+bool SuccessorCursor::Next(const std::vector<Atom>& state, Successor* out) {
+  while (next_drop_ < drop_.size()) {
+    size_t k = next_drop_++;
+    ++drop_edges_;
+    bool live = !drop_.ChildIsDead(k);
+    if (live) {
+      drop_.BuildChild(k, &out->atoms);
+      out->dirty = rest_dirty_;
+      out->kind = ProofStep::Kind::kMatchDrop;
+      out->tgd_index = 0;
+      out->matched_predicate = drop_.predicate();
+      out->matched_tuple = &drop_.Tuple(k);
+    }
+    if (next_drop_ == drop_.size()) {
+      drop_.ReleaseRows();
+      next_drop_ = 0;
+    }
+    if (live) return true;
+  }
+  while (true) {
+    if (next_resolvent_ < resolvents_.size()) {
+      Resolvent& r = resolvents_[next_resolvent_++];
+      resolution_edges_ += r.dead_before + 1;
+      dead_left_ -= r.dead_before;
+      ResolventDirtyFlags(components_, r.chunk, r.atoms.size(), &out->dirty);
+      out->atoms = std::move(r.atoms);
+      out->kind = ProofStep::Kind::kResolution;
+      out->tgd_index = r.tgd_index;
+      out->matched_predicate = kInvalidPredicate;
+      out->matched_tuple = nullptr;
+      return true;
+    }
+    resolution_edges_ += dead_left_;  // dropped after the last survivor
+    dead_left_ = 0;
+    if (tgds_ == nullptr || next_tgd_ >= tgds_->size()) return false;
+    dead_left_ = ResolveWithTgd(state, *program_, *index_, *database_,
+                                (*tgds_)[next_tgd_++], fresh_base_, max_chunk_,
+                                /*anchor=*/selected_, &resolvents_);
+    next_resolvent_ = 0;
   }
 }
 

@@ -21,10 +21,11 @@
 // Both operations are dead-first for the searches: a successor containing
 // an atom that can never be discharged (ProgramIndex::AtomIsDead) is
 // rejected before it is built. Only the γ-images of the atoms the step
-// binds can turn dead — the others are the parent's atoms unchanged — so
-// only those are rebuilt, in a scratch atom, and tested. Rejecting them
-// here is exact: the searches would reject the built successor for the
-// same atom, without side effects.
+// binds can turn dead — the others are the parent's atoms unchanged,
+// tested once per call — so only those are rebuilt, in a scratch atom,
+// and tested. Every atom of a successor is thus tested, and the searches
+// run no dead test of their own on it.
+// SuccessorCursor runs both operations in the searches' order.
 
 #ifndef VADALOG_ENGINE_RESOLUTION_H_
 #define VADALOG_ENGINE_RESOLUTION_H_
@@ -35,6 +36,7 @@
 
 #include "ast/program.h"
 #include "ast/rule.h"
+#include "engine/proof_tree.h"
 #include "storage/instance.h"
 
 namespace vadalog {
@@ -122,6 +124,10 @@ class DropPlan {
   /// applied — into `child`, reusing its buffers.
   void BuildChild(size_t k, std::vector<Atom>* child) const;
 
+  /// Frees the matched rows (size() becomes 0). The other buffers stay
+  /// for the next Plan().
+  void ReleaseRows() { std::vector<uint32_t>().swap(rows_); }
+
  private:
   struct Slot {
     uint32_t atom;   // index into rest_
@@ -138,6 +144,72 @@ class DropPlan {
   std::vector<Slot> slots_;     // grouped by atom, ascending
   std::vector<uint32_t> test_;  // rest atoms a match can turn dead
   bool untouched_dead_ = false;  // a rest atom no match binds is dead
+};
+
+/// One successor of a proof state, as SuccessorCursor::Next yields it:
+/// its atoms before simplification, the EagerSimplifyIncremental dirty
+/// flags that go with them, and the step that made it.
+struct Successor {
+  std::vector<Atom> atoms;
+  std::vector<char> dirty;
+  ProofStep::Kind kind = ProofStep::Kind::kMatchDrop;
+  size_t tgd_index = 0;  // kResolution: the TGD resolved with
+  /// kMatchDrop: the database fact the selected atom matched, as its
+  /// predicate and a tuple owned by the database (for explanations).
+  PredicateId matched_predicate = kInvalidPredicate;
+  const std::vector<Term>* matched_tuple = nullptr;
+};
+
+/// The move set of both proof searches (Section 4.3) over one state, one
+/// successor per call: first match-and-drop of the selected atom, one
+/// child per matching database row in the DropPlan's order, then the
+/// chunk resolvents through the selected atom, TGD by TGD over the
+/// relevance bucket of its predicate, each TGD resolved only once the
+/// previous one is drained. Dead successors are skipped unbuilt, so
+/// every successor yielded has passed the dead test; the edge counts
+/// still include them, in enumeration order, up to the successor just
+/// yielded.
+///
+/// The cursor keeps no pointer to the state: Next() takes the state's
+/// atoms again, so their owner (a search frame) may move between calls.
+/// The matched rows are freed once the drops are drained, so a cursor
+/// parked mid-resolution holds nothing sized by the database.
+class SuccessorCursor {
+ public:
+  /// Starts the successors of `state`, which must be non-empty and
+  /// simplified (the dirty flags rely on it). The program, index and
+  /// database must outlive the enumeration.
+  void Start(const std::vector<Atom>& state, const Program& program,
+             const ProgramIndex& index, const Instance& database,
+             size_t max_chunk);
+
+  /// Writes the next successor of `state` — the atoms Start() got — into
+  /// `out`, reusing its buffers. Returns false when none is left.
+  bool Next(const std::vector<Atom>& state, Successor* out);
+
+  /// Match-and-drop and resolution edges, dead ones included, up to the
+  /// last successor yielded (all of them once Next() returned false).
+  uint64_t drop_edges() const { return drop_edges_; }
+  uint64_t resolution_edges() const { return resolution_edges_; }
+
+ private:
+  const Program* program_ = nullptr;
+  const ProgramIndex* index_ = nullptr;
+  const Instance* database_ = nullptr;
+  size_t max_chunk_ = 0;
+  size_t selected_ = 0;
+  std::vector<int> components_;  // the state's ComponentIds
+  std::vector<char> rest_dirty_;  // dirty flags of every drop child
+  DropPlan drop_;
+  size_t next_drop_ = 0;
+  const std::vector<size_t>* tgds_ = nullptr;  // relevance bucket
+  size_t next_tgd_ = 0;
+  uint64_t fresh_base_ = 0;
+  std::vector<Resolvent> resolvents_;  // survivors of the current TGD
+  size_t next_resolvent_ = 0;
+  size_t dead_left_ = 0;  // the current TGD's dead ones not yet counted
+  uint64_t drop_edges_ = 0;
+  uint64_t resolution_edges_ = 0;
 };
 
 }  // namespace vadalog

@@ -422,6 +422,7 @@ namespace {
 struct ComponentScratch {
   std::vector<int> first_seen;    // per variable index; -1 = unseen
   std::vector<uint32_t> touched;  // variable indices to reset
+  std::vector<std::pair<uint64_t, int>> occurrences;  // (variable, atom)
   std::vector<int> parent;        // union-find over atoms
   std::vector<int> id_of_root;    // per root: dense component id
   std::vector<int> ids;           // EagerSimplifyIncremental's labels
@@ -434,8 +435,14 @@ ComponentScratch* ThreadComponentScratch() {
   return &scratch;
 }
 
+/// Variable indices below this are looked up in the flat first-seen
+/// array; a state with a larger one groups its variables by sorting.
+constexpr uint64_t kMaxFlatVariable = 4096;
+
 /// Writes dense per-atom component ids (first-occurrence order of the
-/// roots) to `ids` and returns the number of components.
+/// roots) to `ids` and returns the number of components. The scratch
+/// grows with the number of variable occurrences, never past
+/// kMaxFlatVariable with their indices.
 int LabelComponents(const std::vector<Atom>& atoms, ComponentScratch* s,
                     std::vector<int>* ids) {
   size_t n = atoms.size();
@@ -449,21 +456,48 @@ int LabelComponents(const std::vector<Atom>& atoms, ComponentScratch* s,
     return x;
   };
 
-  for (size_t i = 0; i < n; ++i) {
-    for (Term t : atoms[i].args) {
-      if (!t.is_variable()) continue;
-      uint64_t v = t.index();
-      if (v >= s->first_seen.size()) s->first_seen.resize(v + 1, -1);
-      if (s->first_seen[v] < 0) {
-        s->first_seen[v] = static_cast<int>(i);
-        s->touched.push_back(static_cast<uint32_t>(v));
-      } else {
-        s->parent[find(static_cast<int>(i))] = find(s->first_seen[v]);
-      }
+  // Atoms sharing a variable are joined; the ids below depend only on
+  // the resulting partition, not on the order of the joins.
+  uint64_t max_variable = 0;
+  for (const Atom& a : atoms) {
+    for (Term t : a.args) {
+      if (t.is_variable()) max_variable = std::max(max_variable, t.index());
     }
   }
-  for (uint32_t v : s->touched) s->first_seen[v] = -1;
-  s->touched.clear();
+  if (max_variable < kMaxFlatVariable) {
+    for (size_t i = 0; i < n; ++i) {
+      for (Term t : atoms[i].args) {
+        if (!t.is_variable()) continue;
+        uint32_t v = static_cast<uint32_t>(t.index());
+        if (v >= s->first_seen.size()) s->first_seen.resize(v + 1, -1);
+        if (s->first_seen[v] < 0) {
+          s->first_seen[v] = static_cast<int>(i);
+          s->touched.push_back(v);
+        } else {
+          s->parent[find(static_cast<int>(i))] = find(s->first_seen[v]);
+        }
+      }
+    }
+    for (uint32_t v : s->touched) s->first_seen[v] = -1;
+    s->touched.clear();
+  } else {
+    // Sorting the occurrences by variable numbers the variables densely:
+    // consecutive occurrences of one variable join their atoms.
+    s->occurrences.clear();
+    for (size_t i = 0; i < n; ++i) {
+      for (Term t : atoms[i].args) {
+        if (t.is_variable()) {
+          s->occurrences.emplace_back(t.index(), static_cast<int>(i));
+        }
+      }
+    }
+    std::sort(s->occurrences.begin(), s->occurrences.end());
+    for (size_t k = 1; k < s->occurrences.size(); ++k) {
+      auto [variable, atom] = s->occurrences[k];
+      auto [previous, previous_atom] = s->occurrences[k - 1];
+      if (variable == previous) s->parent[find(atom)] = find(previous_atom);
+    }
+  }
 
   s->id_of_root.assign(n, -1);
   ids->resize(n);

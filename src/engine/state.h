@@ -133,8 +133,8 @@ size_t EagerSimplifyIncremental(std::vector<Atom>* atoms,
 /// simplified parent state: kept parent atoms (parent order minus the
 /// sorted `chunk`) are dirty iff their component lost a chunk member; the
 /// trailing body atoms (up to `resolvent_size`) are new and always dirty.
-/// `components` are the parent's ComponentIds. Both searches use this —
-/// the certificate logic must never diverge between them.
+/// `components` are the parent's ComponentIds. SuccessorCursor applies it
+/// for both searches.
 void ResolventDirtyFlags(const std::vector<int>& components,
                          const std::vector<size_t>& chunk,
                          size_t resolvent_size, std::vector<char>* dirty);

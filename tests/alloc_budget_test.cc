@@ -2,14 +2,17 @@
 // deterministic counter: this binary replaces the global operator new
 // with a counting one, runs the pinned OWL 2 QL refutation of
 // linear_search_test (RefutationCountersArePinned), and bounds the heap
-// allocations per generated successor (resolution plus match-drop edges).
-// Allocation counts, unlike timings, do not depend on the host, so heap
-// traffic creeping back onto the hot path fails here.
+// allocations per generated successor (resolution plus match-drop edges);
+// it bounds the alternating engine's allocations per expanded state on a
+// transitive-closure refutation the same way. Allocation counts, unlike
+// timings, do not depend on the host, so heap traffic creeping back onto
+// the hot path fails here.
 //
-// The bound is the count measured when the budget landed (6.24 per
-// successor, down from 17.39 before the dead-first, flat-unifier and
-// encode-first successor path; see CHANGES.md) plus 50% headroom.
-// Sanitizer builds interpose their own allocator and are skipped.
+// Each bound is the count last measured plus 50% headroom: 5.78 per
+// linear successor (17.39 before the dead-first, flat-unifier and
+// encode-first successor path, 6.23 before the linear search deduplicated
+// each successor on the spot; see CHANGES.md) and 47.69 per alternating
+// state. Sanitizer builds interpose their own allocator and are skipped.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +22,7 @@
 #include <new>
 
 #include "ast/parser.h"
+#include "engine/alternating_search.h"
 #include "engine/linear_search.h"
 
 namespace {
@@ -55,8 +59,9 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace vadalog {
 namespace {
 
-// Measured allocations per successor plus 50% headroom.
-constexpr double kMaxAllocationsPerSuccessor = 9.35;
+// Measured allocations per successor (per state) plus 50% headroom.
+constexpr double kMaxAllocationsPerSuccessor = 8.67;
+constexpr double kMaxAlternatingAllocationsPerState = 71.5;
 
 TEST(AllocBudgetTest, LinearRefutationAllocationsPerSuccessor) {
   if (kSanitized) GTEST_SKIP() << "sanitizer allocator interposition";
@@ -96,6 +101,41 @@ TEST(AllocBudgetTest, LinearRefutationAllocationsPerSuccessor) {
               static_cast<unsigned long long>(allocations),
               static_cast<unsigned long long>(successors), per_successor);
   EXPECT_LE(per_successor, kMaxAllocationsPerSuccessor);
+}
+
+// The alternating engine draws its OR children from the same successor
+// cursor. It counts no edges, so its budget is per expanded state, over
+// the non-linear transitive-closure refutation of alternating_search_test.
+TEST(AllocBudgetTest, AlternatingRefutationAllocationsPerState) {
+  if (kSanitized) GTEST_SKIP() << "sanitizer allocator interposition";
+  ParseResult parsed = ParseProgram(R"(
+    t(X, Y) :- e(X, Y).
+    t(X, Z) :- t(X, Y), t(Y, Z).
+    e(a, b). e(b, c). e(c, d). e(d, f).
+    ?(X) :- t(a, X).
+  )");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  Program program = std::move(*parsed.program);
+  NormalizeToSingleHead(&program, nullptr);
+  Instance db = DatabaseFromFacts(program.facts());
+  std::vector<Term> answer = {program.symbols().InternConstant("a")};
+  const ConjunctiveQuery& query = program.queries()[0];
+
+  AlternatingProofSearch(program, db, query, answer);
+  uint64_t before = g_allocations.load();
+  AlternatingSearchResult result =
+      AlternatingProofSearch(program, db, query, answer);
+  uint64_t allocations = g_allocations.load() - before;
+
+  ASSERT_FALSE(result.accepted);
+  ASSERT_FALSE(result.budget_exhausted);
+  double per_state = static_cast<double>(allocations) /
+                     static_cast<double>(result.states_expanded);
+  std::printf("allocations %llu, states expanded %llu, per state %.3f\n",
+              static_cast<unsigned long long>(allocations),
+              static_cast<unsigned long long>(result.states_expanded),
+              per_state);
+  EXPECT_LE(per_state, kMaxAlternatingAllocationsPerState);
 }
 
 }  // namespace

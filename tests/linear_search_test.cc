@@ -288,7 +288,7 @@ TEST(LinearSearchTest, SubsumptionPruningPreservesDecisions) {
 }
 
 // A refutation explores the whole bounded space, so its counters are a
-// pure function of the level-synchronous exploration order: pinned here.
+// pure function of the BFS's frontier order: pinned here.
 TEST(LinearSearchTest, RefutationCountersArePinned) {
   TestEnv s(R"(
     subclassStar(X, Y) :- subclass(X, Y).
@@ -425,6 +425,47 @@ TEST(LinearSearchTest, ExplanationSurvivesPruning) {
     EXPECT_EQ(Canonicalize(step.state).atoms, step.state);
   }
   EXPECT_GT(drops, 0u);
+}
+
+// Recording an explanation changes what the search remembers, never how
+// it explores: every result field equals the plain run's.
+TEST(LinearSearchTest, ExplanationLeavesCountersUnchanged) {
+  TestEnv s(R"(
+    subclassStar(X, Y) :- subclass(X, Y).
+    subclassStar(X, Z) :- subclassStar(X, Y), subclass(Y, Z).
+    type(X, Z) :- type(X, Y), subclassStar(Y, Z).
+    triple(X, Z, W) :- type(X, Y), restriction(Y, Z).
+    triple(Z, W, X) :- triple(X, Y, Z), inverse(Y, W).
+    type(X, W) :- triple(X, Y, Z), restriction(W, Y).
+    subclass(cat, mammal). subclass(mammal, animal).
+    type(tom, cat).
+    restriction(hunter, hunts).
+    type(tom, hunter).
+    ?(Y) :- type(tom, Y).
+  )");
+  for (const char* name : {"animal", "mammal"}) {
+    SCOPED_TRACE(name);
+    ProofSearchResult plain =
+        LinearProofSearch(s.program, s.db, s.Query(), {s.Const(name)});
+    ProofExplanation explanation;
+    ProofSearchResult explained = LinearProofSearch(
+        s.program, s.db, s.Query(), {s.Const(name)}, {}, &explanation);
+    EXPECT_TRUE(plain.accepted);
+    EXPECT_FALSE(explanation.empty());
+    EXPECT_EQ(explained.accepted, plain.accepted);
+    EXPECT_EQ(explained.budget_exhausted, plain.budget_exhausted);
+    EXPECT_EQ(explained.states_expanded, plain.states_expanded);
+    EXPECT_EQ(explained.states_visited, plain.states_visited);
+    EXPECT_EQ(explained.resolution_edges, plain.resolution_edges);
+    EXPECT_EQ(explained.drop_edges, plain.drop_edges);
+    EXPECT_EQ(explained.cache_hits, plain.cache_hits);
+    EXPECT_EQ(explained.subsumed_discarded, plain.subsumed_discarded);
+    EXPECT_EQ(explained.states_retired, plain.states_retired);
+    EXPECT_EQ(explained.subsumption_checks, plain.subsumption_checks);
+    EXPECT_EQ(explained.peak_state_bytes, plain.peak_state_bytes);
+    EXPECT_EQ(explained.visited_bytes, plain.visited_bytes);
+    EXPECT_EQ(explained.node_width_used, plain.node_width_used);
+  }
 }
 
 TEST(LinearSearchTest, FreezeQueryRejectsMalformedCandidates) {

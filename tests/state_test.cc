@@ -437,6 +437,56 @@ struct DbFixture {
   }
 };
 
+// Component labelling is sized by the state, not by its variable
+// indices: states whose variables sit at 2^24 or 2^40 + 3 decompose and
+// simplify exactly like their small-index renaming.
+TEST(EagerSimplifyTest, LargeVariableIndicesLikeSmallOnes) {
+  DbFixture f;
+  Term a = f.program.symbols().InternConstant("a");
+  auto v = [](uint64_t i) { return Term::Variable(i); };
+  std::vector<Atom> small = {
+      MakeAtom(f.t, {v(0), a}),    MakeAtom(f.e, {v(2), v(3)}),  // embeds
+      MakeAtom(f.e, {v(0), v(1)}), MakeAtom(f.t, {v(4), v(5)}),
+      MakeAtom(f.e, {v(5), v(6)}), MakeAtom(f.t, {v(0), a}),
+      MakeAtom(f.e, {v(6), v(4)})};
+  auto rename = [](const std::vector<Atom>& atoms,
+                   const std::vector<uint64_t>& to) {
+    std::vector<Atom> out = atoms;
+    for (Atom& atom : out) {
+      for (Term& t : atom.args) {
+        if (t.is_variable()) t = Term::Variable(to[t.index()]);
+      }
+    }
+    return out;
+  };
+  const uint64_t k24 = uint64_t{1} << 24;
+  const uint64_t k40 = (uint64_t{1} << 40) + 3;
+  std::vector<std::vector<uint64_t>> renamings = {
+      {k24, k24 + 1, k24 + 2, k24 + 3, k24 + 4, k24 + 5, k24 + 6},
+      {k40, k40 + 1, k40 + 2, k40 + 3, k40 + 4, k40 + 5, k40 + 6},
+      {k40, 7, k24, k40 + 9, 0, k24 + 1, 1}};
+  std::vector<int> small_ids = ComponentIds(small);
+  std::vector<std::vector<Atom>> small_split = SplitComponents(small);
+  std::vector<Atom> small_simplified = small;
+  size_t small_removed = EagerSimplify(&small_simplified, f.db);
+  ASSERT_EQ(small_split.size(), 3u);
+  // The embedding component and the duplicate t(X0, a) go.
+  ASSERT_EQ(small_simplified.size(), 5u);
+  for (const std::vector<uint64_t>& to : renamings) {
+    SCOPED_TRACE(to[0]);
+    std::vector<Atom> large = rename(small, to);
+    EXPECT_EQ(ComponentIds(large), small_ids);
+    std::vector<std::vector<Atom>> split = SplitComponents(large);
+    ASSERT_EQ(split.size(), small_split.size());
+    for (size_t c = 0; c < split.size(); ++c) {
+      EXPECT_EQ(split[c], rename(small_split[c], to)) << c;
+    }
+    std::vector<Atom> simplified = large;
+    EXPECT_EQ(EagerSimplify(&simplified, f.db), small_removed);
+    EXPECT_EQ(simplified, rename(small_simplified, to));
+  }
+}
+
 TEST(EagerSimplifyTest, RemovesSatisfiableComponents) {
   DbFixture f;
   std::vector<Atom> atoms = {

@@ -6,8 +6,10 @@
 #include <algorithm>
 
 #include "ast/parser.h"
+#include "base/rng.h"
 #include "engine/resolution.h"
 #include "engine/search_cache.h"
+#include "engine/state.h"
 #include "engine/unify.h"
 #include "storage/homomorphism.h"
 #include "storage/instance.h"
@@ -397,6 +399,160 @@ TEST(DropPlanTest, ChildrenFollowTheMatcher) {
   }
   EXPECT_GT(children, dead);
   EXPECT_GT(dead, 0u);
+}
+
+// The successor cursor yields exactly a hand-written loop of the two
+// generators — DropPlan's live children, then each relevance-bucket TGD's
+// ResolveWithTgd survivors — with the same atoms, dirty flags and steps,
+// and its edge counts after each yield are the loop's running counts,
+// dead successors included. A consumer that stops after the k-th yield
+// reads the counts as of that yield.
+TEST(SuccessorCursorTest, YieldsTheGeneratorsInOrder) {
+  ResolutionFixture f(R"(
+    subclassStar(X, Y) :- subclass(X, Y).
+    subclassStar(X, Z) :- subclassStar(X, Y), subclass(Y, Z).
+    type(X, Z) :- type(X, Y), subclassStar(Y, Z).
+    triple(X, Z, W) :- type(X, Y), restriction(Y, Z).
+    type(X, W) :- triple(X, Y, Z), restriction(W, Y).
+    subclass(cat, mammal). subclass(mammal, animal).
+    type(tom, cat). restriction(hunter, hunts). type(tom, hunter).
+  )");
+  NormalizeToSingleHead(&f.program, nullptr);
+  Instance db = DatabaseFromFacts(f.program.facts());
+  ProgramIndex index(f.program, db);
+  SymbolTable& symbols = f.program.symbols();
+  std::vector<PredicateId> predicates;
+  for (const char* name :
+       {"type", "subclassStar", "triple", "subclass", "restriction"}) {
+    predicates.push_back(symbols.FindPredicate(name));
+  }
+  std::vector<Term> terms = {Term::Variable(0), Term::Variable(1),
+                             Term::Variable(2), Term::Variable(3)};
+  for (const char* name : {"tom", "cat", "mammal", "animal", "hunts"}) {
+    terms.push_back(symbols.InternConstant(name));
+  }
+  const size_t kMaxChunk = 3;
+
+  struct Yield {
+    Successor successor;
+    uint64_t drop_edges;
+    uint64_t resolution_edges;
+  };
+  Rng rng(11);
+  size_t states = 0;
+  size_t drops = 0;
+  size_t resolvents = 0;
+  uint64_t all_drop_edges = 0;
+  uint64_t all_resolution_edges = 0;
+  for (int round = 0; round < 200; ++round) {
+    std::vector<Atom> state;
+    size_t size = rng.Range(1, 3);
+    for (size_t i = 0; i < size; ++i) {
+      PredicateId p = predicates[rng.Below(predicates.size())];
+      std::vector<Term> args;
+      for (size_t k = 0; k < symbols.PredicateArity(p); ++k) {
+        args.push_back(terms[rng.Below(terms.size())]);
+      }
+      state.emplace_back(p, std::move(args));
+    }
+    EagerSimplify(&state, db);
+    if (state.empty()) continue;
+    ++states;
+    SCOPED_TRACE(testing::Message() << "round " << round);
+
+    // The hand loop.
+    std::vector<Yield> expected;
+    uint64_t drop_edges = 0;
+    uint64_t resolution_edges = 0;
+    size_t selected = SelectAtom(state, db);
+    std::vector<int> components = ComponentIds(state);
+    std::vector<char> rest_dirty;
+    for (size_t i = 0; i < state.size(); ++i) {
+      if (i != selected) {
+        rest_dirty.push_back(components[i] == components[selected] ? 1 : 0);
+      }
+    }
+    DropPlan plan;
+    plan.Plan(state, selected, index, db);
+    for (size_t k = 0; k < plan.size(); ++k) {
+      ++drop_edges;
+      if (plan.ChildIsDead(k)) continue;
+      Yield& y = expected.emplace_back();
+      plan.BuildChild(k, &y.successor.atoms);
+      y.successor.dirty = rest_dirty;
+      y.successor.kind = ProofStep::Kind::kMatchDrop;
+      y.successor.matched_predicate = plan.predicate();
+      y.successor.matched_tuple = &plan.Tuple(k);
+      y.drop_edges = drop_edges;
+      y.resolution_edges = resolution_edges;
+    }
+    uint64_t fresh_base = 0;
+    for (const Atom& a : state) {
+      for (Term t : a.args) {
+        if (t.is_variable()) fresh_base = std::max(fresh_base, t.index() + 1);
+      }
+    }
+    for (size_t tgd : index.TgdsWithHead(state[selected].predicate)) {
+      std::vector<Resolvent> kept;
+      size_t dead = ResolveWithTgd(state, f.program, index, db, tgd,
+                                   fresh_base, kMaxChunk, selected, &kept);
+      for (Resolvent& r : kept) {
+        resolution_edges += r.dead_before + 1;
+        dead -= r.dead_before;
+        Yield& y = expected.emplace_back();
+        ResolventDirtyFlags(components, r.chunk, r.atoms.size(),
+                            &y.successor.dirty);
+        y.successor.atoms = r.atoms;
+        y.successor.kind = ProofStep::Kind::kResolution;
+        y.successor.tgd_index = tgd;
+        y.drop_edges = drop_edges;
+        y.resolution_edges = resolution_edges;
+      }
+      resolution_edges += dead;
+    }
+
+    // The cursor, drained.
+    SuccessorCursor cursor;
+    cursor.Start(state, f.program, index, db, kMaxChunk);
+    Successor out;
+    size_t n = 0;
+    while (cursor.Next(state, &out)) {
+      ASSERT_LT(n, expected.size());
+      const Yield& y = expected[n];
+      EXPECT_EQ(out.atoms, y.successor.atoms) << n;
+      EXPECT_EQ(out.dirty, y.successor.dirty) << n;
+      EXPECT_EQ(out.kind, y.successor.kind) << n;
+      EXPECT_EQ(out.tgd_index, y.successor.tgd_index) << n;
+      EXPECT_EQ(out.matched_predicate, y.successor.matched_predicate) << n;
+      EXPECT_EQ(out.matched_tuple, y.successor.matched_tuple) << n;
+      EXPECT_EQ(cursor.drop_edges(), y.drop_edges) << n;
+      EXPECT_EQ(cursor.resolution_edges(), y.resolution_edges) << n;
+      drops += out.kind == ProofStep::Kind::kMatchDrop ? 1 : 0;
+      resolvents += out.kind == ProofStep::Kind::kResolution ? 1 : 0;
+      ++n;
+    }
+    EXPECT_EQ(n, expected.size());
+    EXPECT_EQ(cursor.drop_edges(), drop_edges);
+    EXPECT_EQ(cursor.resolution_edges(), resolution_edges);
+    all_drop_edges += drop_edges;
+    all_resolution_edges += resolution_edges;
+
+    // Stopped after the k-th yield, on a cursor reused across starts.
+    for (size_t k = 1; k <= expected.size(); ++k) {
+      cursor.Start(state, f.program, index, db, kMaxChunk);
+      for (size_t i = 0; i < k; ++i) ASSERT_TRUE(cursor.Next(state, &out));
+      EXPECT_EQ(out.atoms, expected[k - 1].successor.atoms) << k;
+      EXPECT_EQ(cursor.drop_edges(), expected[k - 1].drop_edges) << k;
+      EXPECT_EQ(cursor.resolution_edges(), expected[k - 1].resolution_edges)
+          << k;
+    }
+  }
+  // The generated states exercise both generators, live and dead.
+  EXPECT_GT(states, 100u);
+  EXPECT_GT(drops, 0u);
+  EXPECT_GT(resolvents, 0u);
+  EXPECT_GT(all_drop_edges, drops);
+  EXPECT_GT(all_resolution_edges, resolvents);
 }
 
 }  // namespace
