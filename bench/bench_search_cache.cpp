@@ -9,6 +9,10 @@
 
 #include <cstdint>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "ast/parser.h"
 #include "bench_util.h"
 #include "engine/certain.h"
@@ -39,6 +43,17 @@ Program MiniOntology() {
   if (!error.empty()) std::fprintf(stderr, "%s\n", error.c_str());
   NormalizeToSingleHead(&program, nullptr);
   return program;
+}
+
+/// Hands the heap back to a settled state before a timed row: glibc
+/// consolidates the small chunks a large search frees on the next big
+/// allocation, so without this a row also pays for the teardown of
+/// whatever ran before it (the pruned ablation row read 55-85 ms right
+/// after the unpruned search, against ~25 ms on its own).
+void SettleHeap() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
 }
 
 }  // namespace
@@ -178,6 +193,7 @@ int main() {
     for (bool subsumption : {false, true}) {
       ProofSearchOptions options;
       options.subsumption = subsumption;
+      SettleHeap();
       Timer t;
       ProofSearchResult r =
           LinearProofSearch(program, db, ada_types, {student}, options);

@@ -22,14 +22,8 @@
 #include <thread>
 #include <vector>
 
-#ifndef _WIN32
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#endif
-
 #include "bench_util.h"
+#include "server/client.h"
 #include "server/server.h"
 #include "vadalog/reasoner.h"
 
@@ -68,51 +62,13 @@ constexpr const char* kOwl2QlProgram = R"(
   ?(X) :- type(ada, X).
 )";
 
-class BenchClient {
- public:
-  explicit BenchClient(uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    connected_ =
-        fd_ >= 0 &&
-        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0;
-  }
-  ~BenchClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  bool connected() const { return connected_; }
-
-  std::optional<JsonValue> RoundTrip(const std::string& line) {
-    std::string out = line + "\n";
-    size_t sent = 0;
-    while (sent < out.size()) {
-      ssize_t n =
-          ::send(fd_, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
-      if (n <= 0) return std::nullopt;
-      sent += static_cast<size_t>(n);
-    }
-    while (true) {
-      size_t newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        std::string response = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        return JsonValue::Parse(response, nullptr);
-      }
-      char chunk[65536];
-      ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-      if (n <= 0) return std::nullopt;
-      buffer_.append(chunk, static_cast<size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  bool connected_ = false;
-  std::string buffer_;
-};
+/// The library client on the server's loopback port; connected() reports
+/// whether the connect succeeded.
+std::unique_ptr<Client> Dial(uint16_t port) {
+  auto client = std::make_unique<Client>();
+  client->ConnectTcp("127.0.0.1", port, nullptr);
+  return client;
+}
 
 std::vector<std::vector<std::string>> ExpectedRows(const std::string& engine) {
   std::unique_ptr<Reasoner> reasoner = Reasoner::FromText(kOwl2QlProgram);
@@ -130,9 +86,9 @@ std::vector<std::vector<std::string>> ExpectedRows(const std::string& engine) {
   return rows;
 }
 
-std::vector<std::vector<std::string>> RowsOf(const JsonValue& response) {
+std::vector<std::vector<std::string>> RowsOf(const JsonValue& body) {
   std::vector<std::vector<std::string>> rows;
-  const JsonValue* answers = response.Find("answers");
+  const JsonValue* answers = body.Find("answers");
   if (answers == nullptr) return rows;
   for (const JsonValue& row : answers->Items()) {
     std::vector<std::string> tuple;
@@ -158,14 +114,22 @@ uint64_t SearchesRun(const obs::MetricsRegistry& registry) {
   return total;
 }
 
-bool LoadSession(BenchClient* client) {
+/// Whether `client` got an ok reply to a QUERY with the expected rows.
+bool Answered(Client* client,
+              const std::vector<std::vector<std::string>>& expected) {
+  std::optional<protocol::Response> response = client->Call(kQueryLine);
+  return response.has_value() && response->body.GetBool("ok") &&
+         RowsOf(response->body) == expected;
+}
+
+bool LoadSession(Client* client) {
   JsonValue request = JsonValue::Object();
   request.Set("cmd", JsonValue::String("LOAD_PROGRAM"));
   request.Set("session", JsonValue::String("owl"));
   request.Set("replace", JsonValue::Bool(true));
   request.Set("program", JsonValue::String(kOwl2QlProgram));
-  std::optional<JsonValue> response = client->RoundTrip(request.Dump());
-  return response.has_value() && response->GetBool("ok");
+  std::optional<protocol::Response> response = client->Call(request.Dump());
+  return response.has_value() && response->body.GetBool("ok");
 }
 
 }  // namespace
@@ -207,23 +171,19 @@ int main() {
   double first_query_ms = 0.0;
   double warm_ms = 0.0;
   {
-    BenchClient client(server.tcp_port());
-    if (!client.connected() || !LoadSession(&client)) {
+    std::unique_ptr<Client> client = Dial(server.tcp_port());
+    if (!client->connected() || !LoadSession(client.get())) {
       std::fprintf(stderr, "bench_server: load failed\n");
       return 1;
     }
     Timer first;
-    std::optional<JsonValue> response = client.RoundTrip(kQueryLine);
+    if (!Answered(client.get(), expected)) ++failures;
     first_query_ms = first.Ms();
-    if (!response.has_value() || RowsOf(*response) != expected) ++failures;
 
     constexpr int kWarmRuns = 20;
     Timer warm;
     for (int i = 0; i < kWarmRuns; ++i) {
-      response = client.RoundTrip(kQueryLine);
-      if (!response.has_value() || RowsOf(*response) != expected) {
-        ++failures;
-      }
+      if (!Answered(client.get(), expected)) ++failures;
     }
     warm_ms = warm.Ms() / kWarmRuns;
   }
@@ -251,8 +211,8 @@ int main() {
       // pass 0: session replaced right before, caches empty (cold);
       // pass 1: same session retained, caches hot (warm).
       if (pass == 0) {
-        BenchClient loader(server.tcp_port());
-        if (!loader.connected() || !LoadSession(&loader)) {
+        std::unique_ptr<Client> loader = Dial(server.tcp_port());
+        if (!loader->connected() || !LoadSession(loader.get())) {
           std::fprintf(stderr, "bench_server: reload failed\n");
           return 1;
         }
@@ -264,16 +224,13 @@ int main() {
       std::vector<std::thread> threads;
       for (int c = 0; c < clients; ++c) {
         threads.emplace_back([&] {
-          BenchClient client(server.tcp_port());
-          if (!client.connected()) {
+          std::unique_ptr<Client> client = Dial(server.tcp_port());
+          if (!client->connected()) {
             ++bad;
             return;
           }
           for (int q = 0; q < queries_per_client; ++q) {
-            std::optional<JsonValue> response =
-                client.RoundTrip(kQueryLine);
-            if (!response.has_value() || !response->GetBool("ok") ||
-                RowsOf(*response) != expected) {
+            if (!Answered(client.get(), expected)) {
               ++bad;
               return;
             }
@@ -303,7 +260,8 @@ int main() {
 
   // CI uploads the full registry snapshot alongside the timing numbers
   // (tools/run_bench.sh exports VADALOG_BENCH_METRICS); the JSON is the
-  // same shape METRICS returns, so vadalog_metrics converts it offline.
+  // same shape METRICS returns, so `vadalog_client --metrics` converts
+  // it offline.
   if (const char* metrics_path = std::getenv("VADALOG_BENCH_METRICS")) {
     JsonValue snapshot = JsonValue::Object();
     snapshot.Set("metrics", RenderMetricsSnapshot(server.metrics()));

@@ -1,8 +1,8 @@
 // Fuzz target: the METRICS/STATS snapshot consumption path — JSON text
 // in, Prometheus exposition text out (server/prometheus.h). This is the
-// whole vadalog_metrics stdin mode on untrusted bytes: saved snapshots
-// are converted offline, so the converter must be total over arbitrary
-// documents, not just registry-produced ones.
+// whole `vadalog_client --metrics` stdin mode on untrusted bytes: saved
+// snapshots are converted offline, so the converter must be total over
+// arbitrary documents, not just registry-produced ones.
 
 #include <cstddef>
 #include <cstdint>

@@ -66,11 +66,13 @@ const std::vector<CheckInfo>& CheckCatalog() {
        "rule depends on predicates that are themselves underivable.",
        Severity::kWarning},
       {"V401", "duplicate-rule",
-       "A rule repeats an earlier rule up to variable renaming.",
+       "A rule repeats an earlier rule up to variable renaming and body "
+       "order.",
        Severity::kWarning},
       {"V402", "subsumed-rule",
-       "A rule is subsumed by a more general earlier rule and can never "
-       "derive anything new.",
+       "A rule is subsumed by another rule and can never derive anything "
+       "new; of two rules that subsume each other, only the one with more "
+       "body atoms (or, at equal size, the later one) is reported.",
        Severity::kWarning},
   };
   return kCatalog;

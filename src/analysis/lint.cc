@@ -374,7 +374,8 @@ std::string CanonicalRule(const Tgd& tgd) {
 // general's variables maps its head onto specific's head and every body
 // atom into specific's body. Restricted to single-head rules without
 // negation (the common case; anything else is skipped conservatively).
-bool MatchAtoms(const Atom& from, const Atom& to,
+// With `renaming`, θ must map variables one-to-one onto variables.
+bool MatchAtoms(const Atom& from, const Atom& to, bool renaming,
                 std::unordered_map<uint64_t, Term>* theta) {
   if (from.predicate != to.predicate || from.args.size() != to.args.size()) {
     return false;
@@ -391,9 +392,18 @@ bool MatchAtoms(const Atom& from, const Atom& to,
       }
       continue;
     }
+    bool clash = false;
+    if (renaming) {
+      // A variable image that is a constant, or already the image of
+      // another variable, breaks the one-to-one renaming.
+      clash = !t.is_variable() ||
+              std::any_of(theta->begin(), theta->end(), [&](const auto& kv) {
+                return kv.first != f.index() && kv.second == t;
+              });
+    }
     auto [it, inserted] = theta->emplace(f.index(), t);
     added.emplace_back(f.index(), inserted);
-    if (!inserted && it->second != t) {
+    if (clash || (!inserted && it->second != t)) {
       for (auto& [key, was_new] : added) {
         if (was_new) theta->erase(key);
       }
@@ -404,13 +414,13 @@ bool MatchAtoms(const Atom& from, const Atom& to,
 }
 
 bool MatchBody(const std::vector<Atom>& general,
-               const std::vector<Atom>& specific, size_t next,
+               const std::vector<Atom>& specific, size_t next, bool renaming,
                std::unordered_map<uint64_t, Term>* theta) {
   if (next == general.size()) return true;
   for (const Atom& target : specific) {
     std::unordered_map<uint64_t, Term> saved = *theta;
-    if (MatchAtoms(general[next], target, theta) &&
-        MatchBody(general, specific, next + 1, theta)) {
+    if (MatchAtoms(general[next], target, renaming, theta) &&
+        MatchBody(general, specific, next + 1, renaming, theta)) {
       return true;
     }
     *theta = std::move(saved);
@@ -418,14 +428,23 @@ bool MatchBody(const std::vector<Atom>& general,
   return false;
 }
 
-bool Subsumes(const Tgd& general, const Tgd& specific) {
+bool Subsumes(const Tgd& general, const Tgd& specific, bool renaming) {
   if (general.head.size() != 1 || specific.head.size() != 1 ||
       !general.negative_body.empty() || !specific.negative_body.empty()) {
     return false;
   }
   std::unordered_map<uint64_t, Term> theta;
-  if (!MatchAtoms(general.head[0], specific.head[0], &theta)) return false;
-  return MatchBody(general.body, specific.body, 0, &theta);
+  if (!MatchAtoms(general.head[0], specific.head[0], renaming, &theta)) {
+    return false;
+  }
+  return MatchBody(general.body, specific.body, 0, renaming, &theta);
+}
+
+// Equal up to variable renaming and body order: a one-to-one renaming maps
+// one rule's head onto the other's and its body into a body of the same
+// size (distinct atoms stay distinct under a renaming, so into is onto).
+bool SameUpToRenamingAndOrder(const Tgd& a, const Tgd& b) {
+  return a.body.size() == b.body.size() && Subsumes(a, b, /*renaming=*/true);
 }
 
 void CheckRedundantRules(const Program& program,
@@ -447,20 +466,35 @@ void CheckRedundantRules(const Program& program,
                            LocDisplay(first.loc, it->second));
     out->push_back(std::move(d));
   }
+  // Rule j makes rule i redundant when it subsumes i, unless i subsumes
+  // j right back and is the one to keep — of two rules that subsume each
+  // other, the one with fewer body atoms, then the earlier one. So each
+  // pair is reported once, and deleting every reported rule keeps a rule
+  // of each set of mutually subsuming ones.
+  auto preferred = [&tgds](size_t a, size_t b) {
+    return tgds[a].body.size() != tgds[b].body.size()
+               ? tgds[a].body.size() < tgds[b].body.size()
+               : a < b;
+  };
   for (size_t i = 0; i < tgds.size(); ++i) {
     if (duplicate[i]) continue;
     for (size_t j = 0; j < tgds.size(); ++j) {
       if (i == j || duplicate[j]) continue;
-      // Strict subsumption only: exact duplicates were reported above.
-      if (CanonicalRule(tgds[i]) == CanonicalRule(tgds[j])) continue;
-      if (!Subsumes(tgds[j], tgds[i])) continue;
-      Diagnostic d = MakeDiagnostic(
-          "V402", tgds[i].loc,
-          "rule is subsumed by the more general rule at " +
-              LocDisplay(tgds[j].loc, j) + " and can never derive anything "
-              "new");
+      if (!Subsumes(tgds[j], tgds[i], /*renaming=*/false)) continue;
+      bool mutual = Subsumes(tgds[i], tgds[j], /*renaming=*/false);
+      if (mutual && preferred(i, j)) continue;
+      bool same = mutual && SameUpToRenamingAndOrder(tgds[j], tgds[i]);
+      std::string other = LocDisplay(tgds[j].loc, j);
+      Diagnostic d =
+          same ? MakeDiagnostic("V401", tgds[i].loc,
+                                "rule duplicates the rule at " + other +
+                                    " up to variable renaming and body order")
+               : MakeDiagnostic("V402", tgds[i].loc,
+                                "rule is subsumed by the more general rule "
+                                "at " + other +
+                                    " and can never derive anything new");
       d.witness.emplace_back("rule", tgds[i].ToString(program.symbols()));
-      d.witness.emplace_back("subsumed-by", LocDisplay(tgds[j].loc, j));
+      d.witness.emplace_back(same ? "first-occurrence" : "subsumed-by", other);
       out->push_back(std::move(d));
       break;
     }

@@ -547,7 +547,8 @@ size_t EagerSimplifyIncremental(std::vector<Atom>* atoms,
   // duplicates (frequent in resolvents) are dropped first. This shrinks
   // states against the width bound and merges otherwise-distinct states.
   // A surviving copy inherits the dirtiness of every duplicate it absorbs.
-  size_t n = atoms->size();
+  const size_t original_size = atoms->size();
+  size_t n = original_size;
   {
     size_t kept = 0;
     for (size_t i = 0; i < n; ++i) {
@@ -613,9 +614,8 @@ size_t EagerSimplifyIncremental(std::vector<Atom>* atoms,
       if (out != i) (*atoms)[out] = std::move((*atoms)[i]);
     }
   }
-  size_t removed = n - out;
   atoms->resize(out);
-  return removed;
+  return original_size - out;
 }
 
 void ResolventDirtyFlags(const std::vector<int>& components,

@@ -110,8 +110,9 @@ void ComponentIds(const std::vector<Atom>& atoms, std::vector<int>* ids);
 
 /// Removes every connected component that maps homomorphically into the
 /// database (such components are proof-tree leaves: they can be specialized
-/// to database facts and decomposed away without constraining the rest).
-/// Returns the number of atoms removed.
+/// to database facts and decomposed away without constraining the rest),
+/// after dropping exact duplicate atoms. Returns the number of atoms
+/// removed, duplicates included.
 size_t EagerSimplify(std::vector<Atom>* atoms, const Instance& database);
 
 /// EagerSimplify for a successor of an already-simplified parent state.

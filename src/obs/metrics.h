@@ -1,5 +1,5 @@
 // vdmetrics: the process metrics registry behind vadalogd's METRICS
-// command and the Prometheus scraper (tools/vadalog_metrics).
+// command and the Prometheus scraper (`vadalog_client --metrics`).
 //
 // Three instrument kinds, chosen for hot-path cost:
 //

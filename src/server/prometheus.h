@@ -3,9 +3,9 @@
 // line per label set, histograms expanded into cumulative
 // `_bucket{le="..."}` series plus `_sum` and `_count`.
 //
-// Extracted from the vadalog_metrics tool so the conversion is a library
-// call: the tool is a thin wrapper, the unit tests exercise the renderer
-// against registry snapshots directly, and the fuzz harness
+// A library call so that `vadalog_client --metrics` (live scrape or a
+// saved snapshot on stdin) is a thin wrapper, the unit tests exercise the
+// renderer against registry snapshots directly, and the fuzz harness
 // (fuzz/fuzz_metrics_snapshot.cc) can drive the whole
 // parse-JSON → render-text path on untrusted bytes without a process
 // boundary. Renders into a string — no I/O here.

@@ -1,6 +1,7 @@
 #include "server/protocol.h"
 
 #include <cstring>
+#include <utility>
 
 namespace vadalog {
 namespace protocol {
@@ -50,6 +51,15 @@ bool ReadU32(std::string_view payload, size_t* offset, uint32_t* value) {
            (static_cast<uint32_t>(p[3]) << 24);
   *offset += 4;
   return true;
+}
+
+/// `object` without its `key` member.
+JsonValue WithoutMember(const JsonValue& object, std::string_view key) {
+  JsonValue out = JsonValue::Object();
+  for (const auto& [name, value] : object.Members()) {
+    if (name != key) out.Set(name, value);
+  }
+  return out;
 }
 
 bool ParseFields(const JsonValue& object, Request* request, Error* error) {
@@ -436,6 +446,49 @@ std::string EncodeResponse(const Response& response, Encoding encoding) {
   wire.push_back('\n');
   wire.append(frame);
   return wire;
+}
+
+bool DecodeResponse(std::string_view wire, Response* response,
+                    size_t* consumed, std::string* error) {
+  auto fail = [error](std::string message) {
+    if (error != nullptr) *error = std::move(message);
+    return false;
+  };
+  *consumed = 0;
+  size_t newline = wire.find('\n');
+  if (newline == std::string_view::npos) return true;
+  std::string parse_error;
+  std::optional<JsonValue> head =
+      JsonValue::Parse(wire.substr(0, newline), &parse_error);
+  if (!head.has_value()) return fail("response head: " + parse_error);
+  if (!head->is_object()) return fail("response head is not an object");
+  size_t end = newline + 1;
+  if (const JsonValue* descriptor = head->Find("answers_frame")) {
+    uint64_t rows = 0;
+    uint64_t cols = 0;
+    uint64_t bytes = 0;
+    if (descriptor->TryGetUint("rows", &rows) != JsonValue::UintField::kValid ||
+        descriptor->TryGetUint("cols", &cols) != JsonValue::UintField::kValid ||
+        descriptor->TryGetUint("bytes", &bytes) !=
+            JsonValue::UintField::kValid) {
+      return fail("answers_frame needs integer rows, cols and bytes");
+    }
+    if (wire.size() - end < bytes) return true;  // frame still arriving
+    AnswerTable table;
+    if (!DecodeAnswerFrame(wire.substr(end, bytes), &table, error)) {
+      return false;
+    }
+    if (table.rows() != rows || table.columns != cols) {
+      return fail("answers_frame: descriptor disagrees with the frame");
+    }
+    end += bytes;
+    *response = Response(WithoutMember(*head, "answers_frame"));
+    response->answers = std::move(table);
+  } else {
+    *response = Response(std::move(*head));
+  }
+  *consumed = end;
+  return true;
 }
 
 }  // namespace protocol

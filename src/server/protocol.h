@@ -52,10 +52,11 @@
 // gave up on a budget — the answers are then a sound subset, not
 // definitive) and "budget_exhausted_candidates".
 //
-// This module is the pure wire layer: request parsing, negotiation, and
-// response encoding only. Session lookup and execution live in
-// server/session.h; both encodings share that one execution path and
-// differ only in how EncodeResponse renders the model.
+// This module is the pure wire layer: request parsing, negotiation,
+// response encoding and its inverse, DecodeResponse (what server/client.h
+// reads with). Session lookup and execution live in server/session.h;
+// both encodings share that one execution path and differ only in how
+// EncodeResponse renders the model.
 
 #ifndef VADALOG_SERVER_PROTOCOL_H_
 #define VADALOG_SERVER_PROTOCOL_H_
@@ -225,6 +226,20 @@ Response NegotiateHello(const Request& request,
 /// Encoding::kBinary responses that carry an answer table — by the
 /// binary answer frame announced in the line's "answers_frame" member.
 std::string EncodeResponse(const Response& response, Encoding encoding);
+
+/// Decodes one response from the front of `wire`: the inverse of
+/// EncodeResponse under either encoding. The head line becomes the body
+/// and, when it announces an answers_frame, the frame after the newline
+/// becomes `answers` (the descriptor is dropped from the body). A JSON
+/// response's inline "answers" rows stay in the body, so under both
+/// encodings ToJson() of the decoded response is the v1 rendering and
+/// re-encoding it reproduces `wire` byte for byte. `*consumed` receives
+/// the bytes used, or 0 while `wire` does not yet hold a whole response —
+/// the head's newline or part of its frame is still to arrive. False +
+/// `error` on a malformed head or frame, or a frame that disagrees with
+/// its descriptor.
+bool DecodeResponse(std::string_view wire, Response* response,
+                    size_t* consumed, std::string* error);
 
 /// The binary answer frame (v2, little-endian throughout):
 ///

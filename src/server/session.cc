@@ -475,12 +475,14 @@ JsonValue Session::Explain(const Request& request) {
       response = OkResponse(request.id);
       response.Set("session", JsonValue::String(name_));
       response.Set("certain", JsonValue::Bool(false));
+      response.Set("complete", JsonValue::Bool(true));
       response.Set("proof", JsonValue::String(""));
       return response;
     }
   }
   ReasonerOptions options = BuildOptions(request);
   std::string proof;
+  ProofSearchResult result;
   {
     base::ReaderLock data(&data_mutex_);
     {
@@ -489,14 +491,17 @@ JsonValue Session::Explain(const Request& request) {
       base::ReaderLock cache_lock(&cache_mutex_);
       options.proof.cache = cache_.get();
       auto search_start = std::chrono::steady_clock::now();
-      proof = reasoner_->Explain(query, answer, options);
+      result = reasoner_->Explain(query, answer, &proof, options);
       spans.search_us = ElapsedUs(search_start);
     }
     FinishCacheUse();
   }
   response = OkResponse(request.id);
   response.Set("session", JsonValue::String(name_));
-  response.Set("certain", JsonValue::Bool(!proof.empty()));
+  response.Set("certain", JsonValue::Bool(result.accepted));
+  // As on QUERY: false when a budget cut the search short, so "certain":
+  // false is then "not proved within the budget", not a refutation.
+  response.Set("complete", JsonValue::Bool(!result.budget_exhausted));
   response.Set("proof", JsonValue::String(std::move(proof)));
   spans.total_us = ElapsedUs(start);
   if (request.trace) response.Set("trace", RenderTraceSpans(spans));

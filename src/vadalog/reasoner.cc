@@ -261,17 +261,19 @@ bool Reasoner::IsCertain(const ConjunctiveQuery& query,
   return false;
 }
 
-std::string Reasoner::Explain(const ConjunctiveQuery& query,
-                              const std::vector<Term>& answer,
-                              const ReasonerOptions& options) const {
+ProofSearchResult Reasoner::Explain(const ConjunctiveQuery& query,
+                                    const std::vector<Term>& answer,
+                                    std::string* proof,
+                                    const ReasonerOptions& options) const {
+  proof->clear();
   // The linear proof search ignores negative bodies: refusing (no
   // proof) is sound, running it on a negation program is not.
-  if (classification_.uses_negation) return "";
+  if (classification_.uses_negation) return ProofSearchResult{};
   ProofExplanation explanation;
   ProofSearchResult result = LinearProofSearch(
       program_, database_, query, answer, options.proof, &explanation);
-  if (!result.accepted) return "";
-  return explanation.ToString(program_);
+  if (result.accepted) *proof = explanation.ToString(program_);
+  return result;
 }
 
 std::string Reasoner::TupleToString(const std::vector<Term>& tuple) const {

@@ -167,12 +167,16 @@ class Reasoner {
                  const ReasonerOptions& options = {}) const;
 
   /// Decides a candidate tuple with the linear proof search and, when it
-  /// is a certain answer, returns the reconstructed linear proof tree as
-  /// a human-readable explanation (Definition 4.6); empty string when the
-  /// tuple is not certain.
-  std::string Explain(const ConjunctiveQuery& query,
-                      const std::vector<Term>& answer,
-                      const ReasonerOptions& options = {}) const;
+  /// is a certain answer, writes the reconstructed linear proof tree to
+  /// `*proof` as a human-readable explanation (Definition 4.6); `*proof`
+  /// is left empty when the search does not accept. The result tells a
+  /// refutation from a search cut short by the `options.proof` budgets
+  /// (`budget_exhausted`). Programs with negation are refused: the result
+  /// is a plain non-acceptance and no search runs.
+  ProofSearchResult Explain(const ConjunctiveQuery& query,
+                            const std::vector<Term>& answer,
+                            std::string* proof,
+                            const ReasonerOptions& options = {}) const;
 
   /// Renders a tuple with this reasoner's symbol table.
   std::string TupleToString(const std::vector<Term>& tuple) const;

@@ -329,6 +329,31 @@ TEST(LintTest, V402CatchesStrictSubsumption) {
   EXPECT_EQ(CountDiagnostic(tc, "V402"), 0u);
 }
 
+// Two rules that subsume each other are one redundancy, not two: only
+// the later (or the longer) is reported, so following every warning
+// still keeps one copy of the recursion.
+TEST(LintTest, MutuallySubsumingRulesAreReportedOnce) {
+  LintResult reordered = LintSource(
+      "t(X, Y) :- e(X, Y).\n"
+      "t(X, Z) :- e(X, Y), t(Y, Z).\n"
+      "t(X, Z) :- t(Y, Z), e(X, Y).\n",
+      "reordered.vada");
+  EXPECT_EQ(CountDiagnostic(reordered, "V402"), 0u);
+  ASSERT_EQ(CountDiagnostic(reordered, "V401"), 1u);
+  EXPECT_EQ(FindDiagnostic(reordered, "V401")->loc, (SourceLoc{3, 1}));
+
+  LintResult redundant = LintSource(
+      "t(X, Y) :- e(X, Y).\n"
+      "t(X, Z) :- e(X, Y), t(Y, Z), e(X, W).\n"
+      "t(X, Z) :- e(X, Y), t(Y, Z).\n",
+      "redundant.vada");
+  EXPECT_EQ(CountDiagnostic(redundant, "V401"), 0u);
+  ASSERT_EQ(CountDiagnostic(redundant, "V402"), 1u);
+  const Diagnostic* d = FindDiagnostic(redundant, "V402");
+  EXPECT_EQ(d->loc, (SourceLoc{2, 1}));
+  EXPECT_EQ(*WitnessValue(*d, "subsumed-by"), "line 3");
+}
+
 // --- shipped examples stay clean ---
 
 TEST(LintTest, CheckCatalogIsSortedAndComplete) {

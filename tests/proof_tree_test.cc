@@ -127,13 +127,17 @@ TEST(ProofTreeTest, ReasonerExplainFacade) {
   ASSERT_NE(reasoner, nullptr);
   const ConjunctiveQuery& query = reasoner->program().queries()[0];
   SymbolTable& symbols = const_cast<Program&>(reasoner->program()).symbols();
-  std::string proof =
-      reasoner->Explain(query, {symbols.InternConstant("c")});
+  std::string proof;
+  EXPECT_TRUE(
+      reasoner->Explain(query, {symbols.InternConstant("c")}, &proof)
+          .accepted);
   EXPECT_FALSE(proof.empty());
   EXPECT_NE(proof.find("accept"), std::string::npos);
-  std::string no_proof =
-      reasoner->Explain(query, {symbols.InternConstant("a")});
-  EXPECT_TRUE(no_proof.empty());
+  ProofSearchResult refuted =
+      reasoner->Explain(query, {symbols.InternConstant("a")}, &proof);
+  EXPECT_FALSE(refuted.accepted);
+  EXPECT_FALSE(refuted.budget_exhausted);
+  EXPECT_TRUE(proof.empty());
 }
 
 TEST(ProofTreeTest, ProofStepCountMatchesChainLength) {

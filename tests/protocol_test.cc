@@ -302,6 +302,45 @@ TEST(ProtocolTest, ExplainReturnsAProofForCertainAnswersOnly) {
   EXPECT_EQ(arity.Find("error")->GetString("code"), "EBADREQ");
 }
 
+// A budget that cuts the proof search short is not a refutation: EXPLAIN
+// says so with "complete":false, as QUERY does, and every EXPLAIN reply
+// carries the field.
+TEST(ProtocolTest, ExplainReportsABudgetCutAsIncomplete) {
+  SessionRegistry registry{SessionOptions{}};
+  ASSERT_TRUE(registry
+                  .HandleLine(LoadLine("r",
+                                       "t(X, Y) :- e(X, Y).\n"
+                                       "t(X, Z) :- e(X, Y), t(Y, Z).\n"
+                                       "e(a, b). e(b, c). e(c, d). e(d, f).\n"
+                                       "?(X, Y) :- t(X, Y).\n"))
+                  .GetBool("ok"));
+  JsonValue proved = registry.HandleLine(
+      R"({"cmd":"EXPLAIN","session":"r","query_index":0,"answer":["a","f"]})");
+  ASSERT_TRUE(proved.GetBool("ok")) << proved.Dump();
+  EXPECT_TRUE(proved.GetBool("certain"));
+  EXPECT_TRUE(proved.GetBool("complete"));
+  EXPECT_NE(proved.GetString("proof"), "");
+
+  JsonValue cut = registry.HandleLine(
+      R"({"cmd":"EXPLAIN","session":"r","query_index":0,"answer":["a","f"],)"
+      R"("max_states":1})");
+  ASSERT_TRUE(cut.GetBool("ok")) << cut.Dump();
+  EXPECT_FALSE(cut.GetBool("certain", true));
+  ASSERT_NE(cut.Find("complete"), nullptr) << cut.Dump();
+  EXPECT_FALSE(cut.GetBool("complete", true));
+  EXPECT_EQ(cut.GetString("proof"), "");
+
+  // A real refutation, and the unknown-constant short cut, are complete.
+  JsonValue refuted = registry.HandleLine(
+      R"({"cmd":"EXPLAIN","session":"r","query_index":0,"answer":["f","a"]})");
+  EXPECT_FALSE(refuted.GetBool("certain", true));
+  EXPECT_TRUE(refuted.GetBool("complete"));
+  JsonValue unknown = registry.HandleLine(
+      R"({"cmd":"EXPLAIN","session":"r","query_index":0,"answer":["a","zz"]})");
+  EXPECT_FALSE(unknown.GetBool("certain", true));
+  EXPECT_TRUE(unknown.GetBool("complete"));
+}
+
 TEST(ProtocolTest, UnsupportedFragmentIsEunsupportedNotEmpty) {
   SessionRegistry registry{SessionOptions{}};
   ASSERT_TRUE(registry
@@ -898,45 +937,124 @@ TEST(ProtocolTest, EncodeResponseFramesAnswersPerEncoding) {
   table.row_count = 2;
   table.cells = {"b", "c"};
   response.answers = table;
+  protocol::Response decoded;
+  size_t consumed = 0;
+  std::string error;
 
-  // JSON: one line, rows inlined.
+  // JSON: one line, rows inlined into the body.
   std::string json_wire =
       protocol::EncodeResponse(response, protocol::Encoding::kJson);
-  ASSERT_EQ(json_wire.back(), '\n');
-  std::string parse_error;
-  std::optional<JsonValue> json_head = JsonValue::Parse(
-      std::string_view(json_wire).substr(0, json_wire.size() - 1),
-      &parse_error);
-  ASSERT_TRUE(json_head.has_value()) << parse_error;
-  EXPECT_EQ(json_head->Find("answers")->Items().size(), 2u);
-  EXPECT_EQ(json_head->Find("answers_frame"), nullptr);
+  EXPECT_EQ(json_wire.find('\n'), json_wire.size() - 1);
+  ASSERT_TRUE(protocol::DecodeResponse(json_wire, &decoded, &consumed, &error))
+      << error;
+  EXPECT_EQ(consumed, json_wire.size());
+  EXPECT_FALSE(decoded.answers.has_value());
+  ASSERT_NE(decoded.body.Find("answers"), nullptr);
+  EXPECT_EQ(decoded.body.Find("answers")->Items().size(), 2u);
 
-  // Binary: a head line announcing the frame, then the exact payload.
+  // Binary: a head line announcing the frame, then the exact payload,
+  // which decodes back to the table.
   std::string wire =
       protocol::EncodeResponse(response, protocol::Encoding::kBinary);
-  size_t newline = wire.find('\n');
-  ASSERT_NE(newline, std::string::npos);
-  std::optional<JsonValue> head = JsonValue::Parse(
-      std::string_view(wire).substr(0, newline), &parse_error);
-  ASSERT_TRUE(head.has_value()) << parse_error;
-  EXPECT_EQ(head->Find("answers"), nullptr);
-  const JsonValue* descriptor = head->Find("answers_frame");
-  ASSERT_NE(descriptor, nullptr);
-  EXPECT_EQ(descriptor->GetUint("rows"), 2u);
-  EXPECT_EQ(descriptor->GetUint("cols"), 1u);
-  std::string_view payload = std::string_view(wire).substr(newline + 1);
-  EXPECT_EQ(descriptor->GetUint("bytes"), payload.size());
-  protocol::AnswerTable decoded;
-  std::string decode_error;
-  ASSERT_TRUE(protocol::DecodeAnswerFrame(payload, &decoded, &decode_error))
-      << decode_error;
-  EXPECT_EQ(decoded, table);
+  EXPECT_LT(wire.find('\n'), wire.size() - 1);
+  ASSERT_TRUE(protocol::DecodeResponse(wire, &decoded, &consumed, &error))
+      << error;
+  EXPECT_EQ(consumed, wire.size());
+  EXPECT_EQ(decoded.body.Find("answers"), nullptr);
+  EXPECT_EQ(decoded.body.Find("answers_frame"), nullptr);
+  EXPECT_EQ(decoded.answers, table);
 
   // Responses without a table stay pure JSON lines on every encoding.
   protocol::Response plain = protocol::OkResponse(JsonValue());
   std::string control =
       protocol::EncodeResponse(plain, protocol::Encoding::kBinary);
   EXPECT_EQ(control.find('\n'), control.size() - 1);
+}
+
+// DecodeResponse inverts EncodeResponse under both encodings, with and
+// without a table: the decoded response re-encodes to the same bytes and
+// renders the same v1 JSON, and a binary response carries the very table.
+TEST(ProtocolTest, DecodeResponseRoundTripsEncodeResponse) {
+  protocol::Response plain = protocol::OkResponse(JsonValue::Number(7));
+  plain.body.Set("pong", JsonValue::Bool(true));
+  protocol::Response with_table =
+      protocol::OkResponse(JsonValue::String("q"));
+  with_table.body.Set("complete", JsonValue::Bool(true));
+  protocol::AnswerTable table;
+  table.columns = 2;
+  table.row_count = 2;
+  table.cells = {"a", "b\n\"c", "", "d"};
+  with_table.answers = table;
+  // A certain boolean query: one row of zero columns ("answers":[[]]).
+  protocol::Response boolean = protocol::OkResponse(JsonValue());
+  boolean.answers = protocol::AnswerTable{0, 1, {}};
+  for (const protocol::Response& original : {plain, with_table, boolean}) {
+    for (protocol::Encoding encoding :
+         {protocol::Encoding::kJson, protocol::Encoding::kBinary}) {
+      SCOPED_TRACE(std::string(protocol::EncodingName(encoding)) + " " +
+                   original.ToJson().Dump());
+      std::string wire = protocol::EncodeResponse(original, encoding);
+      // Pipelined replies arrive back to back: exactly one is consumed.
+      protocol::Response decoded;
+      size_t consumed = 0;
+      std::string error;
+      ASSERT_TRUE(protocol::DecodeResponse(wire + wire, &decoded, &consumed,
+                                           &error))
+          << error;
+      EXPECT_EQ(consumed, wire.size());
+      EXPECT_EQ(protocol::EncodeResponse(decoded, encoding), wire);
+      EXPECT_EQ(decoded.ToJson().Dump(), original.ToJson().Dump());
+      if (encoding == protocol::Encoding::kBinary) {
+        EXPECT_EQ(decoded.body.Dump(), original.body.Dump());
+        EXPECT_EQ(decoded.answers, original.answers);
+      }
+      // Every proper prefix is a response still arriving, not an error.
+      for (size_t cut = 0; cut < wire.size(); ++cut) {
+        ASSERT_TRUE(protocol::DecodeResponse(wire.substr(0, cut), &decoded,
+                                             &consumed, &error))
+            << cut << ": " << error;
+        EXPECT_EQ(consumed, 0u) << cut;
+      }
+    }
+  }
+}
+
+TEST(ProtocolTest, DecodeResponseRejectsATruncatedFrame) {
+  protocol::AnswerTable table;
+  table.columns = 1;
+  table.row_count = 2;
+  table.cells = {"ada", "bob"};
+  std::string frame = protocol::EncodeAnswerFrame(table);
+  // A head announcing the frame it carries, with `rows` and `bytes`.
+  auto wire_of = [&](uint64_t rows, size_t bytes) {
+    JsonValue head = protocol::OkResponse(JsonValue());
+    JsonValue descriptor = JsonValue::Object();
+    descriptor.Set("rows", JsonValue::Number(rows));
+    descriptor.Set("cols", JsonValue::Number(uint64_t{1}));
+    descriptor.Set("bytes", JsonValue::Number(static_cast<uint64_t>(bytes)));
+    head.Set("answers_frame", std::move(descriptor));
+    return head.Dump() + "\n" + frame.substr(0, bytes);
+  };
+  protocol::Response decoded;
+  size_t consumed = 0;
+  std::string error;
+  ASSERT_TRUE(protocol::DecodeResponse(wire_of(2, frame.size()), &decoded,
+                                       &consumed, &error))
+      << error;
+  EXPECT_EQ(decoded.answers, table);
+
+  // The frame ends before its last cell: rejected, not decoded short.
+  EXPECT_FALSE(protocol::DecodeResponse(wire_of(2, frame.size() - 1),
+                                        &decoded, &consumed, &error));
+  EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+  // A descriptor that disagrees with the frame it announces.
+  EXPECT_FALSE(protocol::DecodeResponse(wire_of(3, frame.size()), &decoded,
+                                        &consumed, &error));
+  // A head that is not a JSON object.
+  EXPECT_FALSE(
+      protocol::DecodeResponse("[1]\n", &decoded, &consumed, &error));
+  EXPECT_FALSE(
+      protocol::DecodeResponse("{\"ok\":\n", &decoded, &consumed, &error));
 }
 
 // --- ANALYZE: source-located lint diagnostics over the wire ---

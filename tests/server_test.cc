@@ -15,7 +15,6 @@
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
-#include <sys/un.h>
 #include <unistd.h>
 #endif
 
@@ -30,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "server/client.h"
 #include "server/server.h"
 #include "vadalog/reasoner.h"
 
@@ -75,90 +75,40 @@ constexpr const char* kProgram = R"(
   ?(X, Z) :- path2(X, Z).
 )";
 
-/// Minimal blocking protocol client against 127.0.0.1:port. A non-zero
-/// `rcvbuf` shrinks SO_RCVBUF before connecting (slow-reader tests).
-class TestClient {
- public:
-  explicit TestClient(uint16_t port, int rcvbuf = 0) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ >= 0 && rcvbuf > 0) {
-      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    connected_ =
-        fd_ >= 0 &&
-        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0;
-  }
-  ~TestClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  bool connected() const { return connected_; }
+/// A library client on the server's loopback port; connected() reports
+/// whether the connect succeeded.
+std::unique_ptr<Client> Dial(uint16_t port) {
+  auto client = std::make_unique<Client>();
+  client->ConnectTcp("127.0.0.1", port, nullptr);
+  return client;
+}
 
-  /// Makes every blocking receive give up (and the read fail) after
-  /// `millis` without data.
-  void SetReceiveTimeout(int millis) {
-    timeval timeout{};
-    timeout.tv_sec = millis / 1000;
-    timeout.tv_usec = (millis % 1000) * 1000;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
-  }
+/// Client::Call as the v1 JSON rendering the assertions read (a binary
+/// frame comes back inlined as "answers"); nullopt when the call failed.
+std::optional<JsonValue> RoundTrip(Client& client, const std::string& line) {
+  std::optional<protocol::Response> response = client.Call(line);
+  if (!response.has_value()) return std::nullopt;
+  return response->ToJson();
+}
 
-  bool SendLine(const std::string& line) {
-    std::string out = line + "\n";
-    size_t sent = 0;
-    while (sent < out.size()) {
-      ssize_t n =
-          ::send(fd_, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      sent += static_cast<size_t>(n);
-    }
-    return true;
+/// A raw loopback socket whose SO_RCVBUF is shrunk before connecting —
+/// the slow-reader tests' misbehaving peer, which the library client
+/// never is — adopted by a Client for the reads; -1 on failure.
+int SmallWindowSocket(uint16_t port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  int rcvbuf = 1024;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
   }
-
-  std::optional<std::string> ReadLine() {
-    while (true) {
-      size_t newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        std::string line = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        return line;
-      }
-      if (!Fill()) return std::nullopt;
-    }
-  }
-
-  bool ReadExact(size_t n, std::string* out) {
-    while (buffer_.size() < n) {
-      if (!Fill()) return false;
-    }
-    *out = buffer_.substr(0, n);
-    buffer_.erase(0, n);
-    return true;
-  }
-
-  std::optional<JsonValue> RoundTrip(const std::string& line) {
-    if (!SendLine(line)) return std::nullopt;
-    std::optional<std::string> response = ReadLine();
-    if (!response.has_value()) return std::nullopt;
-    return JsonValue::Parse(*response, nullptr);
-  }
-
- private:
-  bool Fill() {
-    char chunk[65536];
-    ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (n <= 0) return false;
-    buffer_.append(chunk, static_cast<size_t>(n));
-    return true;
-  }
-
-  int fd_ = -1;
-  bool connected_ = false;
-  std::string buffer_;
-};
+  return fd;
+}
 
 std::unique_ptr<Server> StartServer(ServerConfig options = {}) {
   options.tcp_port = 0;  // ephemeral
@@ -218,10 +168,10 @@ std::vector<std::vector<std::vector<std::string>>> DirectAnswers(
 TEST(ServerTest, SixteenConcurrentClientsMatchTheSingleThreadedReasoner) {
   std::unique_ptr<Server> server = StartServer();
   {
-    TestClient loader(server->tcp_port());
-    ASSERT_TRUE(loader.connected());
+    std::unique_ptr<Client> loader = Dial(server->tcp_port());
+    ASSERT_TRUE(loader->connected());
     std::optional<JsonValue> loaded =
-        loader.RoundTrip(LoadLine("stress", kProgram));
+        RoundTrip(*loader, LoadLine("stress", kProgram));
     ASSERT_TRUE(loaded.has_value());
     ASSERT_TRUE(loaded->GetBool("ok")) << loaded->Dump();
   }
@@ -240,8 +190,8 @@ TEST(ServerTest, SixteenConcurrentClientsMatchTheSingleThreadedReasoner) {
   std::vector<std::thread> threads;
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
-      TestClient client(server->tcp_port());
-      if (!client.connected()) {
+      std::unique_ptr<Client> client = Dial(server->tcp_port());
+      if (!client->connected()) {
         ++failures;
         return;
       }
@@ -251,8 +201,8 @@ TEST(ServerTest, SixteenConcurrentClientsMatchTheSingleThreadedReasoner) {
       for (int r = 0; r < kRepeats; ++r) {
         for (size_t q = 0; q < want.size(); ++q) {
           while (true) {
-            std::optional<JsonValue> response = client.RoundTrip(
-                R"({"cmd":"QUERY","session":"stress","query_index":)" +
+            std::optional<JsonValue> response = RoundTrip(
+                *client, R"({"cmd":"QUERY","session":"stress","query_index":)" +
                 std::to_string(q) + R"(,"engine":")" + engine + "\"}");
             if (!response.has_value()) {
               ++failures;
@@ -278,9 +228,9 @@ TEST(ServerTest, SixteenConcurrentClientsMatchTheSingleThreadedReasoner) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
 
-  TestClient prober(server->tcp_port());
+  std::unique_ptr<Client> prober = Dial(server->tcp_port());
   std::optional<JsonValue> stats =
-      prober.RoundTrip(R"({"cmd":"STATS","session":"stress"})");
+      RoundTrip(*prober, R"({"cmd":"STATS","session":"stress"})");
   ASSERT_TRUE(stats.has_value() && stats->GetBool("ok"));
   EXPECT_GE(stats->Find("session")->GetUint("queries_served"),
             static_cast<uint64_t>(kClients * kRepeats * 2));
@@ -298,8 +248,8 @@ TEST(ServerTest, ConcurrentLoadsQueriesAndUnloadsStayCoherent) {
   std::vector<std::thread> threads;
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
-      TestClient client(server->tcp_port());
-      if (!client.connected()) {
+      std::unique_ptr<Client> client = Dial(server->tcp_port());
+      if (!client->connected()) {
         ++failures;
         return;
       }
@@ -316,7 +266,7 @@ TEST(ServerTest, ConcurrentLoadsQueriesAndUnloadsStayCoherent) {
             R"({"cmd":"UNLOAD","session":"shared"})",
         };
         for (const std::string& line : lines) {
-          std::optional<JsonValue> response = client.RoundTrip(line);
+          std::optional<JsonValue> response = RoundTrip(*client, line);
           if (!response.has_value() || response->Find("ok") == nullptr) {
             ++failures;
             return;
@@ -336,9 +286,9 @@ TEST(ServerTest, AdmissionControlRejectsWithEbusy) {
   options.max_inflight = 1;
   options.max_inflight_per_session = 1;
   std::unique_ptr<Server> server = StartServer(std::move(options));
-  TestClient loader(server->tcp_port());
-  ASSERT_TRUE(loader.connected());
-  ASSERT_TRUE(loader.RoundTrip(LoadLine("s", kProgram))->GetBool("ok"));
+  std::unique_ptr<Client> loader = Dial(server->tcp_port());
+  ASSERT_TRUE(loader->connected());
+  ASSERT_TRUE(RoundTrip(*loader, LoadLine("s", kProgram))->GetBool("ok"));
 
   // Many clients firing one query each at a 1-slot server: every
   // response is either a correct answer or a structured EBUSY.
@@ -349,13 +299,13 @@ TEST(ServerTest, AdmissionControlRejectsWithEbusy) {
   std::vector<std::thread> threads;
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&] {
-      TestClient client(server->tcp_port());
-      if (!client.connected()) {
+      std::unique_ptr<Client> client = Dial(server->tcp_port());
+      if (!client->connected()) {
         ++bad;
         return;
       }
-      std::optional<JsonValue> response = client.RoundTrip(
-          R"({"cmd":"QUERY","session":"s","query_index":0})");
+      std::optional<JsonValue> response = RoundTrip(
+          *client, R"({"cmd":"QUERY","session":"s","query_index":0})");
       if (!response.has_value()) {
         ++bad;
         return;
@@ -375,26 +325,26 @@ TEST(ServerTest, AdmissionControlRejectsWithEbusy) {
   EXPECT_EQ(ok.load() + busy.load(), kClients);
   EXPECT_GE(ok.load(), 1);
   // PING bypasses admission even when the server is saturated.
-  EXPECT_TRUE(loader.RoundTrip(R"({"cmd":"PING"})")->GetBool("pong"));
+  EXPECT_TRUE(RoundTrip(*loader, R"({"cmd":"PING"})")->GetBool("pong"));
   server->Stop();
 }
 
 TEST(ServerTest, GracefulShutdownFinishesInFlightWork) {
   std::unique_ptr<Server> server = StartServer();
-  TestClient client(server->tcp_port());
-  ASSERT_TRUE(client.connected());
-  ASSERT_TRUE(client.RoundTrip(LoadLine("s", kProgram))->GetBool("ok"));
+  std::unique_ptr<Client> client = Dial(server->tcp_port());
+  ASSERT_TRUE(client->connected());
+  ASSERT_TRUE(RoundTrip(*client, LoadLine("s", kProgram))->GetBool("ok"));
   std::thread stopper([&] { server->Stop(); });
   // Requests racing the shutdown either complete or see a closed
   // connection — never a hang or a torn response.
   for (int i = 0; i < 50; ++i) {
-    std::optional<JsonValue> response = client.RoundTrip(
-        R"({"cmd":"QUERY","session":"s","query_index":0})");
+    std::optional<JsonValue> response = RoundTrip(
+        *client, R"({"cmd":"QUERY","session":"s","query_index":0})");
     if (!response.has_value()) break;
     EXPECT_NE(response->Find("ok"), nullptr);
   }
   stopper.join();
-  EXPECT_FALSE(TestClient(server->tcp_port()).connected());
+  EXPECT_FALSE(Dial(server->tcp_port())->connected());
 }
 
 // Unit tests for the connection loop's recv taxonomy: a signal landing
@@ -470,49 +420,27 @@ TEST(ServerTest, RecvTimeoutKeepsSlowConnectionsAndPartialRequests) {
   ServerConfig options;
   std::unique_ptr<Server> server = StartServer(options);
 
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server->tcp_port());
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-            0);
-
-  auto read_line = [&]() -> std::string {
-    std::string line;
-    char c;
-    while (::recv(fd, &c, 1, 0) == 1) {
-      if (c == '\n') return line;
-      line.push_back(c);
-    }
-    return line;
-  };
+  std::unique_ptr<Client> client = Dial(server->tcp_port());
+  ASSERT_TRUE(client->connected());
 
   // Idle across several timeout periods, then a whole request.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  const std::string ping = "{\"cmd\":\"PING\"}\n";
-  ASSERT_EQ(::send(fd, ping.data(), ping.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(ping.size()));
-  std::optional<JsonValue> pong = JsonValue::Parse(read_line(), nullptr);
+  std::optional<protocol::Response> pong = client->Call(R"({"cmd":"PING"})");
   ASSERT_TRUE(pong.has_value());
-  EXPECT_TRUE(pong->GetBool("pong"));
+  EXPECT_TRUE(pong->body.GetBool("pong"));
 
   // A request split around a pause longer than the timeout: the prefix
-  // must survive the EAGAIN wake-ups.
+  // must survive the EAGAIN wake-ups. The client sends whole lines, so
+  // the prefix goes out raw on its socket.
   const std::string head = "{\"cmd\":\"PI";
-  const std::string tail = "NG\",\"id\":7}\n";
-  ASSERT_EQ(::send(fd, head.data(), head.size(), MSG_NOSIGNAL),
+  ASSERT_EQ(::send(client->fd(), head.data(), head.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(head.size()));
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  ASSERT_EQ(::send(fd, tail.data(), tail.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(tail.size()));
-  std::optional<JsonValue> split = JsonValue::Parse(read_line(), nullptr);
+  std::optional<protocol::Response> split = client->Call(R"(NG","id":7})");
   ASSERT_TRUE(split.has_value());
-  EXPECT_TRUE(split->GetBool("pong"));
-  EXPECT_EQ(split->Find("id")->AsNumber(), 7.0);
+  EXPECT_TRUE(split->body.GetBool("pong"));
+  EXPECT_EQ(split->body.Find("id")->AsNumber(), 7.0);
 
-  ::close(fd);
   server->Stop();
 }
 
@@ -537,26 +465,14 @@ TEST(ServerTest, UnixSocketEndpointServes) {
   std::string error;
   ASSERT_TRUE(server->Start(&error)) << error;
 
-  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, options.unix_path.c_str(),
-               sizeof addr.sun_path - 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-            0);
-  std::string line = "{\"cmd\":\"PING\"}\n";
-  ASSERT_EQ(::send(fd, line.data(), line.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(line.size()));
-  char buffer[4096];
-  ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);
-  ASSERT_GT(n, 0);
-  std::optional<JsonValue> response =
-      JsonValue::Parse(std::string(buffer, static_cast<size_t>(n - 1)),
-                       nullptr);
-  ASSERT_TRUE(response.has_value());
-  EXPECT_TRUE(response->GetBool("pong"));
-  ::close(fd);
+  {
+    Client client;
+    ASSERT_TRUE(client.ConnectUnix(options.unix_path, &error)) << error;
+    std::optional<protocol::Response> response =
+        client.Call(R"({"cmd":"PING"})", &error);
+    ASSERT_TRUE(response.has_value()) << error;
+    EXPECT_TRUE(response->body.GetBool("pong"));
+  }
   server->Stop();
   // The socket file is removed on shutdown.
   EXPECT_NE(::access(options.unix_path.c_str(), F_OK), 0);
@@ -593,22 +509,22 @@ TEST(ServerTest, HundredsOfIdleConnectionsNeedNoExtraThreads) {
   ServerConfig config;
   config.workers = 2;
   std::unique_ptr<Server> server = StartServer(config);
-  TestClient first(server->tcp_port());
-  ASSERT_TRUE(first.connected());
-  ASSERT_TRUE(first.RoundTrip(R"({"cmd":"PING"})")->GetBool("pong"));
+  std::unique_ptr<Client> first = Dial(server->tcp_port());
+  ASSERT_TRUE(first->connected());
+  ASSERT_TRUE(RoundTrip(*first, R"({"cmd":"PING"})")->GetBool("pong"));
   size_t baseline = CountThreads();
   ASSERT_GT(baseline, 0u);
 
   constexpr size_t kIdle = 256;
-  std::vector<std::unique_ptr<TestClient>> idle;
+  std::vector<std::unique_ptr<Client>> idle;
   for (size_t i = 0; i < kIdle; ++i) {
-    idle.push_back(std::make_unique<TestClient>(server->tcp_port()));
+    idle.push_back(Dial(server->tcp_port()));
     ASSERT_TRUE(idle.back()->connected()) << "connection " << i;
   }
   // Sampled connections across the set still serve requests — they are
   // accepted descriptors, not a backlog illusion — with zero new threads.
   for (size_t i : {size_t{0}, kIdle / 2, kIdle - 1}) {
-    std::optional<JsonValue> pong = idle[i]->RoundTrip(R"({"cmd":"PING"})");
+    std::optional<JsonValue> pong = RoundTrip(*idle[i], R"({"cmd":"PING"})");
     ASSERT_TRUE(pong.has_value()) << "connection " << i;
     EXPECT_TRUE(pong->GetBool("pong"));
   }
@@ -621,16 +537,16 @@ TEST(ServerTest, HundredsOfIdleConnectionsNeedNoExtraThreads) {
 // accepting, not starve the listener (the classic EMFILE accept spin).
 TEST(ServerTest, AcceptUnderEmfileEvictsIdleConnectionsInsteadOfStarving) {
   std::unique_ptr<Server> server = StartServer();
-  TestClient sentinel(server->tcp_port());
-  ASSERT_TRUE(sentinel.connected());
-  ASSERT_TRUE(sentinel.RoundTrip(R"({"cmd":"PING"})")->GetBool("pong"));
+  std::unique_ptr<Client> sentinel = Dial(server->tcp_port());
+  ASSERT_TRUE(sentinel->connected());
+  ASSERT_TRUE(RoundTrip(*sentinel, R"({"cmd":"PING"})")->GetBool("pong"));
 
   // A few more idle connections to give the eviction policy a pool.
-  std::vector<std::unique_ptr<TestClient>> idle;
+  std::vector<std::unique_ptr<Client>> idle;
   for (int i = 0; i < 4; ++i) {
-    idle.push_back(std::make_unique<TestClient>(server->tcp_port()));
+    idle.push_back(Dial(server->tcp_port()));
     ASSERT_TRUE(idle.back()->connected());
-    ASSERT_TRUE(idle.back()->RoundTrip(R"({"cmd":"PING"})")->GetBool("pong"));
+    ASSERT_TRUE(RoundTrip(*idle.back(), R"({"cmd":"PING"})")->GetBool("pong"));
   }
 
   // Exhaust the descriptor table, then hand back exactly one slot. The
@@ -653,9 +569,9 @@ TEST(ServerTest, AcceptUnderEmfileEvictsIdleConnectionsInsteadOfStarving) {
   ::close(burners.back());
   burners.pop_back();
 
-  TestClient newest(server->tcp_port());
-  ASSERT_TRUE(newest.connected());
-  std::optional<JsonValue> pong = newest.RoundTrip(R"({"cmd":"PING"})");
+  std::unique_ptr<Client> newest = Dial(server->tcp_port());
+  ASSERT_TRUE(newest->connected());
+  std::optional<JsonValue> pong = RoundTrip(*newest, R"({"cmd":"PING"})");
   for (int fd : burners) ::close(fd);
   ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &old), 0);
   ASSERT_TRUE(pong.has_value());
@@ -664,9 +580,9 @@ TEST(ServerTest, AcceptUnderEmfileEvictsIdleConnectionsInsteadOfStarving) {
   // The eviction closed the idlest request-free connection: probing the
   // whole pool finds at least one peer-closed socket.
   size_t evicted = 0;
-  if (!sentinel.RoundTrip(R"({"cmd":"PING"})").has_value()) ++evicted;
+  if (!RoundTrip(*sentinel, R"({"cmd":"PING"})").has_value()) ++evicted;
   for (auto& client : idle) {
-    if (!client->RoundTrip(R"({"cmd":"PING"})").has_value()) ++evicted;
+    if (!RoundTrip(*client, R"({"cmd":"PING"})").has_value()) ++evicted;
   }
   EXPECT_GE(evicted, 1u);
   server->Stop();
@@ -685,26 +601,26 @@ TEST(ServerTest, SlowReadingClientDoesNotBlockOtherConnections) {
     big += "d(x" + std::to_string(i) + "). ";
   }
   big += "?(X) :- d(X).";
-  TestClient loader(server->tcp_port());
-  ASSERT_TRUE(loader.connected());
-  ASSERT_TRUE(loader.RoundTrip(LoadLine("big", big))->GetBool("ok"));
+  std::unique_ptr<Client> loader = Dial(server->tcp_port());
+  ASSERT_TRUE(loader->connected());
+  ASSERT_TRUE(RoundTrip(*loader, LoadLine("big", big))->GetBool("ok"));
 
-  TestClient slow(server->tcp_port(), /*rcvbuf=*/1024);
+  Client slow(SmallWindowSocket(server->tcp_port()));
   ASSERT_TRUE(slow.connected());
   constexpr int kPipelined = 8;
   for (int i = 0; i < kPipelined; ++i) {
-    ASSERT_TRUE(slow.SendLine(
+    ASSERT_TRUE(slow.Send(
         R"({"cmd":"QUERY","session":"big","query_index":0,"id":)" +
         std::to_string(i) + "}"));
   }
 
   // While the slow client's responses back up, a healthy client must
   // make steady progress through the same server.
-  TestClient healthy(server->tcp_port());
-  ASSERT_TRUE(healthy.connected());
+  std::unique_ptr<Client> healthy = Dial(server->tcp_port());
+  ASSERT_TRUE(healthy->connected());
   for (int i = 0; i < 10; ++i) {
-    std::optional<JsonValue> response = healthy.RoundTrip(
-        R"({"cmd":"QUERY","session":"big","query_index":0})");
+    std::optional<JsonValue> response = RoundTrip(
+        *healthy, R"({"cmd":"QUERY","session":"big","query_index":0})");
     ASSERT_TRUE(response.has_value()) << "round " << i;
     ASSERT_TRUE(response->GetBool("ok")) << response->Dump();
     ASSERT_EQ(response->Find("answers")->Items().size(), 4000u);
@@ -713,13 +629,11 @@ TEST(ServerTest, SlowReadingClientDoesNotBlockOtherConnections) {
   // Now drain the slow connection: all pipelined responses, in order,
   // uncorrupted.
   for (int i = 0; i < kPipelined; ++i) {
-    std::optional<std::string> line = slow.ReadLine();
-    ASSERT_TRUE(line.has_value()) << "response " << i;
-    std::optional<JsonValue> response = JsonValue::Parse(*line, nullptr);
-    ASSERT_TRUE(response.has_value());
-    ASSERT_TRUE(response->GetBool("ok"));
-    EXPECT_EQ(response->Find("id")->AsNumber(), static_cast<double>(i));
-    EXPECT_EQ(response->Find("answers")->Items().size(), 4000u);
+    std::optional<protocol::Response> response = slow.Read();
+    ASSERT_TRUE(response.has_value()) << "response " << i;
+    ASSERT_TRUE(response->body.GetBool("ok"));
+    EXPECT_EQ(response->body.Find("id")->AsNumber(), static_cast<double>(i));
+    EXPECT_EQ(response->body.Find("answers")->Items().size(), 4000u);
   }
   server->Stop();
 }
@@ -735,19 +649,19 @@ TEST(ServerTest, UnboundedResponseBacklogDropsTheConnection) {
     big += "d(x" + std::to_string(i) + "). ";
   }
   big += "?(X) :- d(X).";
-  TestClient loader(server->tcp_port());
-  ASSERT_TRUE(loader.connected());
-  ASSERT_TRUE(loader.RoundTrip(LoadLine("big", big))->GetBool("ok"));
+  std::unique_ptr<Client> loader = Dial(server->tcp_port());
+  ASSERT_TRUE(loader->connected());
+  ASSERT_TRUE(RoundTrip(*loader, LoadLine("big", big))->GetBool("ok"));
 
   // The greedy client pipelines queries and never reads. Its tiny
   // receive window plus a full kernel send buffer (tcp autotuning can
   // grow it to tcp_wmem[2], often 4 MiB, so the total backlog here is
   // sized well past that) force responses back into the server's
   // out-buffer, which crosses the 16 KiB cap.
-  TestClient greedy(server->tcp_port(), /*rcvbuf=*/1024);
+  Client greedy(SmallWindowSocket(server->tcp_port()));
   ASSERT_TRUE(greedy.connected());
   for (int i = 0; i < 32; ++i) {
-    if (!greedy.SendLine(
+    if (!greedy.Send(
             R"({"cmd":"QUERY","session":"big","query_index":0})")) {
       break;  // already dropped — also a pass
     }
@@ -758,9 +672,7 @@ TEST(ServerTest, UnboundedResponseBacklogDropsTheConnection) {
   EXPECT_GE(server->stats().overflow_closed, 1u);
   if (server->stats().overflow_closed > 0) {
     // The server cut the connection, so reading to EOF terminates.
-    std::string sink;
-    while (greedy.ReadExact(1, &sink)) {
-      sink.clear();
+    while (greedy.Read().has_value()) {
     }
   }
   server->Stop();
@@ -776,31 +688,33 @@ std::string StableBytes(const std::string& line) {
 
 TEST(ServerTest, MemoHitsMatchAColdReasonerByteForByte) {
   std::unique_ptr<Server> server = StartServer();
-  TestClient client(server->tcp_port());
-  ASSERT_TRUE(client.connected());
-  ASSERT_TRUE(client.RoundTrip(LoadLine("s", kProgram))->GetBool("ok"));
+  std::unique_ptr<Client> client = Dial(server->tcp_port());
+  ASSERT_TRUE(client->connected());
+  ASSERT_TRUE(RoundTrip(*client, LoadLine("s", kProgram))->GetBool("ok"));
   std::vector<std::vector<std::vector<std::string>>> expected =
       DirectAnswers(kProgram, "auto");
   for (size_t q = 0; q < expected.size(); ++q) {
     const std::string query = R"({"cmd":"QUERY","session":"s","query_index":)" +
                               std::to_string(q) + "}";
     // The first query fills the memo for the whole pool; every later
-    // reply is a hit and must carry the same bytes.
-    ASSERT_TRUE(client.SendLine(query));
-    std::optional<std::string> first = client.ReadLine();
+    // reply is a hit and must carry the same bytes (re-encoding a decoded
+    // response reproduces its wire bytes).
+    std::optional<protocol::Response> first = client->Call(query);
     ASSERT_TRUE(first.has_value());
-    std::optional<JsonValue> parsed = JsonValue::Parse(*first, nullptr);
-    ASSERT_TRUE(parsed.has_value() && parsed->GetBool("ok")) << *first;
-    EXPECT_EQ(RowsOf(*parsed), expected[q]);
+    std::string first_bytes =
+        protocol::EncodeResponse(*first, protocol::Encoding::kJson);
+    ASSERT_TRUE(first->body.GetBool("ok")) << first_bytes;
+    EXPECT_EQ(RowsOf(first->body), expected[q]);
     for (int repeat = 0; repeat < 3; ++repeat) {
-      ASSERT_TRUE(client.SendLine(query));
-      std::optional<std::string> hit = client.ReadLine();
+      std::optional<protocol::Response> hit = client->Call(query);
       ASSERT_TRUE(hit.has_value());
-      EXPECT_EQ(StableBytes(*hit), StableBytes(*first));
+      EXPECT_EQ(StableBytes(protocol::EncodeResponse(
+                    *hit, protocol::Encoding::kJson)),
+                StableBytes(first_bytes));
     }
   }
   std::optional<JsonValue> stats =
-      client.RoundTrip(R"({"cmd":"STATS","session":"s"})");
+      RoundTrip(*client, R"({"cmd":"STATS","session":"s"})");
   ASSERT_TRUE(stats.has_value() && stats->GetBool("ok"));
   EXPECT_EQ(stats->Find("session")->GetUint("answer_memo_misses"), 1u);
   EXPECT_EQ(stats->Find("session")->GetUint("answer_memo_hits"),
@@ -854,8 +768,8 @@ BurstCounts ReadBurstCounts(Server* server) {
 BurstCounts RunHeldBurst(Server* server, const std::vector<std::string>& lines,
                          const std::vector<std::vector<std::string>>& want,
                          const std::function<bool(Session&)>& joined) {
-  TestClient loader(server->tcp_port());
-  EXPECT_TRUE(loader.RoundTrip(LoadLine("burst", kRefutationProgram))
+  std::unique_ptr<Client> loader = Dial(server->tcp_port());
+  EXPECT_TRUE(RoundTrip(*loader, LoadLine("burst", kRefutationProgram))
                   ->GetBool("ok"));
   std::shared_ptr<Session> session = server->registry().Find("burst");
   BurstCounts before = ReadBurstCounts(server);
@@ -864,8 +778,8 @@ BurstCounts RunHeldBurst(Server* server, const std::vector<std::string>& lines,
   auto send = [&] {
     for (const std::string& line : lines) {
       threads.emplace_back([&, line] {
-        TestClient client(server->tcp_port());
-        std::optional<JsonValue> response = client.RoundTrip(line);
+        std::unique_ptr<Client> client = Dial(server->tcp_port());
+        std::optional<JsonValue> response = RoundTrip(*client, line);
         if (!response.has_value() || !response->GetBool("ok") ||
             !response->GetBool("complete") || RowsOf(*response) != want) {
           ++bad;
@@ -938,10 +852,14 @@ TEST(ServerTest, ColdBurstUnderTwoBudgetsRunsTwoSearches) {
 // next request, whose (tiny) answer races the loop to the pipe.
 TEST(ServerTest, PipelinedRepliesNeverWaitForOtherTraffic) {
   std::unique_ptr<Server> server = StartServer();
-  TestClient client(server->tcp_port());
-  ASSERT_TRUE(client.connected());
-  ASSERT_TRUE(client.RoundTrip(LoadLine("s", kProgram))->GetBool("ok"));
-  client.SetReceiveTimeout(1000);
+  std::unique_ptr<Client> client = Dial(server->tcp_port());
+  ASSERT_TRUE(client->connected());
+  ASSERT_TRUE(RoundTrip(*client, LoadLine("s", kProgram))->GetBool("ok"));
+  timeval timeout{};
+  timeout.tv_sec = 1;  // a stranded reply fails the read instead of hanging
+  ASSERT_EQ(::setsockopt(client->fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof timeout),
+            0);
   constexpr int kRequests = 500;
   std::string burst;
   for (int i = 0; i < kRequests; ++i) {
@@ -949,12 +867,12 @@ TEST(ServerTest, PipelinedRepliesNeverWaitForOtherTraffic) {
     burst += R"({"cmd":"QUERY","session":"s","query_index":)" +
              std::to_string(i % 2) + "}";
   }
-  ASSERT_TRUE(client.SendLine(burst));
+  ASSERT_TRUE(client->Send(burst));
   for (int i = 0; i < kRequests; ++i) {
-    std::optional<std::string> reply = client.ReadLine();
+    std::optional<protocol::Response> reply = client->Read();
     ASSERT_TRUE(reply.has_value())
         << "reply " << i << " took longer than 1 s (stranded completion)";
-    ASSERT_NE(reply->find("\"ok\":true"), std::string::npos) << *reply;
+    ASSERT_TRUE(reply->body.GetBool("ok")) << reply->body.Dump();
   }
   server->Stop();
 }
@@ -963,20 +881,20 @@ TEST(ServerTest, PollBackendServesIdentically) {
   ServerConfig config;
   config.poller = "poll";
   std::unique_ptr<Server> server = StartServer(config);
-  TestClient client(server->tcp_port());
-  ASSERT_TRUE(client.connected());
-  ASSERT_TRUE(client.RoundTrip(LoadLine("s", kProgram))->GetBool("ok"));
+  std::unique_ptr<Client> client = Dial(server->tcp_port());
+  ASSERT_TRUE(client->connected());
+  ASSERT_TRUE(RoundTrip(*client, LoadLine("s", kProgram))->GetBool("ok"));
   std::vector<std::vector<std::vector<std::string>>> expected =
       DirectAnswers(kProgram, "auto");
   for (size_t q = 0; q < expected.size(); ++q) {
-    std::optional<JsonValue> response = client.RoundTrip(
-        R"({"cmd":"QUERY","session":"s","query_index":)" +
+    std::optional<JsonValue> response = RoundTrip(
+        *client, R"({"cmd":"QUERY","session":"s","query_index":)" +
         std::to_string(q) + "}");
     ASSERT_TRUE(response.has_value());
     ASSERT_TRUE(response->GetBool("ok")) << response->Dump();
     EXPECT_EQ(RowsOf(*response), expected[q]);
   }
-  std::optional<JsonValue> pong = client.RoundTrip(R"({"cmd":"PING"})");
+  std::optional<JsonValue> pong = RoundTrip(*client, R"({"cmd":"PING"})");
   ASSERT_TRUE(pong.has_value());
   EXPECT_TRUE(pong->GetBool("pong"));
   server->Stop();
@@ -987,55 +905,36 @@ TEST(ServerTest, PollBackendServesIdentically) {
 // the same query on a v1 connection.
 TEST(ServerTest, BinaryEncodingMatchesJsonAnswersBitForBit) {
   std::unique_ptr<Server> server = StartServer();
-  TestClient json_client(server->tcp_port());
-  ASSERT_TRUE(json_client.connected());
-  ASSERT_TRUE(json_client.RoundTrip(LoadLine("s", kProgram))->GetBool("ok"));
-  std::optional<JsonValue> via_json = json_client.RoundTrip(
-      R"({"cmd":"QUERY","session":"s","query_index":0})");
+  std::unique_ptr<Client> json_client = Dial(server->tcp_port());
+  ASSERT_TRUE(json_client->connected());
+  ASSERT_TRUE(RoundTrip(*json_client, LoadLine("s", kProgram))->GetBool("ok"));
+  std::optional<JsonValue> via_json = RoundTrip(
+      *json_client, R"({"cmd":"QUERY","session":"s","query_index":0})");
   ASSERT_TRUE(via_json.has_value() && via_json->GetBool("ok"));
 
-  TestClient binary_client(server->tcp_port());
-  ASSERT_TRUE(binary_client.connected());
-  std::optional<JsonValue> hello = binary_client.RoundTrip(
-      R"({"cmd":"HELLO","max_version":2,"encodings":["binary"]})");
+  std::unique_ptr<Client> binary_client = Dial(server->tcp_port());
+  ASSERT_TRUE(binary_client->connected());
+  std::optional<protocol::Response> hello = binary_client->Hello("binary");
   ASSERT_TRUE(hello.has_value()) << "HELLO got no response";
-  ASSERT_TRUE(hello->GetBool("ok")) << hello->Dump();
-  ASSERT_EQ(hello->GetString("encoding"), "binary");
-  ASSERT_EQ(hello->GetUint("version"), 2u);
+  ASSERT_TRUE(hello->body.GetBool("ok")) << hello->body.Dump();
+  ASSERT_EQ(hello->body.GetString("encoding"), "binary");
+  ASSERT_EQ(hello->body.GetUint("version"), 2u);
 
-  ASSERT_TRUE(binary_client.SendLine(
-      R"({"v":2,"cmd":"QUERY","session":"s","query_index":0})"));
-  std::optional<std::string> head_line = binary_client.ReadLine();
-  ASSERT_TRUE(head_line.has_value());
-  std::optional<JsonValue> head = JsonValue::Parse(*head_line, nullptr);
-  ASSERT_TRUE(head.has_value());
-  ASSERT_TRUE(head->GetBool("ok")) << head->Dump();
-  EXPECT_EQ(head->Find("answers"), nullptr);
-  const JsonValue* descriptor = head->Find("answers_frame");
-  ASSERT_NE(descriptor, nullptr);
-  std::string payload;
-  ASSERT_TRUE(binary_client.ReadExact(
-      static_cast<size_t>(descriptor->GetUint("bytes")), &payload));
-  protocol::AnswerTable table;
-  std::string decode_error;
-  ASSERT_TRUE(protocol::DecodeAnswerFrame(payload, &table, &decode_error))
-      << decode_error;
-
-  std::vector<std::vector<std::string>> from_frame;
-  for (size_t r = 0; r < table.rows(); ++r) {
-    std::vector<std::string> row;
-    for (size_t c = 0; c < table.columns; ++c) {
-      row.push_back(table.cells[r * table.columns + c]);
-    }
-    from_frame.push_back(std::move(row));
-  }
-  EXPECT_EQ(from_frame, RowsOf(*via_json));
+  std::optional<protocol::Response> via_binary = binary_client->Call(
+      R"({"v":2,"cmd":"QUERY","session":"s","query_index":0})");
+  ASSERT_TRUE(via_binary.has_value());
+  ASSERT_TRUE(via_binary->body.GetBool("ok")) << via_binary->body.Dump();
+  // The rows travelled as a frame, not inline in the head line.
+  EXPECT_EQ(via_binary->body.Find("answers"), nullptr);
+  ASSERT_TRUE(via_binary->answers.has_value());
+  EXPECT_EQ(RowsOf(via_binary->ToJson()), RowsOf(*via_json));
 
   // Control responses stay line-framed JSON even on a binary connection.
-  std::optional<JsonValue> pong =
-      binary_client.RoundTrip(R"({"v":2,"cmd":"PING"})");
+  std::optional<protocol::Response> pong =
+      binary_client->Call(R"({"v":2,"cmd":"PING"})");
   ASSERT_TRUE(pong.has_value());
-  EXPECT_TRUE(pong->GetBool("pong"));
+  EXPECT_TRUE(pong->body.GetBool("pong"));
+  EXPECT_FALSE(pong->answers.has_value());
   server->Stop();
 }
 

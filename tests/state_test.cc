@@ -472,6 +472,7 @@ TEST(EagerSimplifyTest, LargeVariableIndicesLikeSmallOnes) {
   ASSERT_EQ(small_split.size(), 3u);
   // The embedding component and the duplicate t(X0, a) go.
   ASSERT_EQ(small_simplified.size(), 5u);
+  EXPECT_EQ(small_removed, 2u);
   for (const std::vector<uint64_t>& to : renamings) {
     SCOPED_TRACE(to[0]);
     std::vector<Atom> large = rename(small, to);
@@ -580,7 +581,7 @@ size_t ReferenceSimplify(std::vector<Atom>* atoms, std::vector<char> dirty,
       kept.insert(kept.end(), members.begin(), members.end());
     }
   }
-  size_t removed = n - kept.size();
+  size_t removed = atoms->size() - kept.size();  // duplicates included
   *atoms = std::move(kept);
   return removed;
 }

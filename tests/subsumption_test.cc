@@ -340,11 +340,12 @@ TEST(IncrementalSimplifyTest, DuplicatesMergeDirtinessBeforeComponents) {
   Term a = program.symbols().InternConstant("a");
 
   // The duplicate is dirty, the kept first copy clean: the merged atom
-  // must count as dirty and the embeddable component must be dropped.
+  // must count as dirty and the embeddable component must be dropped —
+  // both atoms removed, the duplicate included.
   std::vector<Atom> atoms = {Atom(e, {a, Term::Variable(0)}),
                              Atom(e, {a, Term::Variable(0)})};
   std::vector<char> dirty = {0, 1};
-  EXPECT_EQ(EagerSimplifyIncremental(&atoms, db, &dirty), 1u);
+  EXPECT_EQ(EagerSimplifyIncremental(&atoms, db, &dirty), 2u);
   EXPECT_TRUE(atoms.empty());
 }
 

@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "base/hash.h"
-#include "base/memory_tracker.h"
 #include "base/rng.h"
 #include "base/symbol_table.h"
 #include "base/term.h"
@@ -136,23 +135,6 @@ TEST(RngTest, UniformInUnitInterval) {
     EXPECT_GE(u, 0.0);
     EXPECT_LT(u, 1.0);
   }
-}
-
-TEST(MemoryTrackerTest, TracksPeak) {
-  MemoryTracker tracker;
-  tracker.Add(100);
-  tracker.Add(50);
-  tracker.Remove(120);
-  EXPECT_EQ(tracker.current_bytes(), 30u);
-  EXPECT_EQ(tracker.peak_bytes(), 150u);
-  tracker.Reset();
-  EXPECT_EQ(tracker.peak_bytes(), 0u);
-}
-
-TEST(MemoryTrackerTest, RssReadersReturnPlausibleValues) {
-  // On Linux these should be nonzero for a running process.
-  EXPECT_GT(CurrentRssKb(), 0u);
-  EXPECT_GE(PeakRssKb(), CurrentRssKb() / 2);
 }
 
 }  // namespace

@@ -73,7 +73,8 @@ for bench in "${BENCHES[@]}"; do
   fi
   echo ">>> $bench" >&2
   # bench_server dumps its metrics registry next to the timing snapshot
-  # (METRICS-shaped JSON; convert with tools/vadalog_metrics < file).
+  # (METRICS-shaped JSON; `vadalog_client --metrics < file` renders it
+  # as Prometheus text).
   if [[ "$bench" == "bench_server" ]]; then
     export VADALOG_BENCH_METRICS="${OUT%.json}-metrics.json"
   else

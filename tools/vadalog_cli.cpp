@@ -176,8 +176,8 @@ int main(int argc, char** argv) {
     for (const std::vector<Term>& tuple : answers) {
       std::printf("  %s\n", reasoner->TupleToString(tuple).c_str());
       if (explain) {
-        std::string proof = reasoner->Explain(queries[i], tuple);
-        if (!proof.empty()) {
+        std::string proof;
+        if (reasoner->Explain(queries[i], tuple, &proof).accepted) {
           std::printf("  proof:\n");
           std::istringstream lines(proof);
           std::string line;

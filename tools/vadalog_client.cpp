@@ -37,11 +37,16 @@
 //                 all client threads, EBUSY retries excluded — which CI
 //                 sums and diffs against the server's METRICS counters.
 //
-//   * Metrics:    dump the daemon's metrics registry, one metric per
-//                 line (counters/gauges as name{labels} = value,
-//                 histograms as count and sum):
+//   * Metrics:    print the daemon's metrics registry in the Prometheus
+//                 text exposition format (server/prometheus.h) — a
+//                 complete scrape body for a cron job or a
+//                 textfile-collector script. With no endpoint, convert a
+//                 saved METRICS response (or its bare "metrics" array)
+//                 from stdin instead, e.g. the snapshot bench_server
+//                 writes (VADALOG_BENCH_METRICS in tools/run_bench.sh).
 //
 //       vadalog_client --connect=tcp:127.0.0.1:4333 --metrics
+//       vadalog_client --metrics < metrics.json
 //
 // --encoding=json|binary sends a HELLO at connect time and fails hard if
 // the server negotiates something other than the requested encoding.
@@ -51,7 +56,8 @@
 // Endpoints: --connect=tcp:HOST:PORT (HOST is an IPv4 literal or
 // "localhost") or --connect=unix:PATH, or --serve to spin up an
 // in-process daemon on an ephemeral loopback port and talk to it over a
-// real socket — the zero-setup round trip the e2e suite runs.
+// real socket — the zero-setup round trip the e2e suite runs. Every mode
+// talks through the library client (server/client.h).
 
 #include <atomic>
 #include <cstdio>
@@ -65,26 +71,13 @@
 #include <thread>
 #include <vector>
 
-#ifndef _WIN32
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-#endif
-
 #include "base/version.h"
+#include "server/client.h"
+#include "server/prometheus.h"
 #include "server/server.h"
 #include "vadalog/reasoner.h"
 
 using namespace vadalog;
-
-#ifdef _WIN32
-int main() {
-  std::fprintf(stderr, "vadalog_client requires POSIX sockets\n");
-  return 1;
-}
-#else
 
 namespace {
 
@@ -95,164 +88,11 @@ int Usage(const char* argv0) {
                "          [--encoding=json|binary] [--hello] [--metrics]\n"
                "          [--roundtrip=FILE.vada [--engine=E] "
                "[--clients=N] "
-               "[--repeat=N] [--trace]]\n",
-               argv0);
+               "[--repeat=N] [--trace]]\n"
+               "       %s --metrics < metrics.json\n",
+               argv0, argv0);
   return 2;
 }
-
-/// A blocking protocol connection: line-framed JSON requests out, JSON
-/// head lines plus optional binary answer frames back in.
-class Connection {
- public:
-  ~Connection() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  bool ConnectTcp(const std::string& host, uint16_t port,
-                  std::string* error) {
-    std::string address = host == "localhost" ? "127.0.0.1" : host;
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, address.c_str(), &addr.sin_addr) != 1) {
-      *error = "bad IPv4 address: " + address;
-      return false;
-    }
-    if (fd_ < 0 ||
-        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-            0) {
-      *error = "connect tcp:" + host + ":" + std::to_string(port) + ": " +
-               std::strerror(errno);
-      return false;
-    }
-    return true;
-  }
-
-  bool ConnectUnix(const std::string& path, std::string* error) {
-    sockaddr_un addr{};
-    if (path.size() >= sizeof addr.sun_path) {
-      *error = "unix socket path too long";
-      return false;
-    }
-    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
-    if (fd_ < 0 ||
-        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-            0) {
-      *error = "connect unix:" + path + ": " + std::strerror(errno);
-      return false;
-    }
-    return true;
-  }
-
-  /// Sends one request line, reads the JSON head line, and — when the
-  /// head announces an answers_frame — reads and decodes the binary
-  /// payload that follows it. `answers` is reset to nullopt when the
-  /// response carried none.
-  bool Transact(const std::string& line, JsonValue* head,
-                std::optional<protocol::AnswerTable>* answers,
-                std::string* error) {
-    answers->reset();
-    std::string out = line + "\n";
-    size_t sent = 0;
-    while (sent < out.size()) {
-      ssize_t n =
-          ::send(fd_, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
-      if (n <= 0) {
-        *error = "connection lost (send)";
-        return false;
-      }
-      sent += static_cast<size_t>(n);
-    }
-    std::string head_line;
-    if (!ReadLine(&head_line)) {
-      *error = "connection lost (recv)";
-      return false;
-    }
-    std::string parse_error;
-    std::optional<JsonValue> parsed =
-        JsonValue::Parse(head_line, &parse_error);
-    if (!parsed.has_value()) {
-      *error = "malformed response: " + head_line;
-      return false;
-    }
-    *head = std::move(*parsed);
-    const JsonValue* descriptor = head->Find("answers_frame");
-    if (descriptor != nullptr) {
-      uint64_t bytes = descriptor->GetUint("bytes");
-      std::string payload;
-      if (!ReadExact(static_cast<size_t>(bytes), &payload)) {
-        *error = "connection lost mid-frame";
-        return false;
-      }
-      protocol::AnswerTable table;
-      std::string decode_error;
-      if (!protocol::DecodeAnswerFrame(payload, &table, &decode_error)) {
-        *error = "bad answer frame: " + decode_error;
-        return false;
-      }
-      *answers = std::move(table);
-    }
-    return true;
-  }
-
-  /// Sends one HELLO and verifies the server granted the requested
-  /// encoding (the negotiation response lands in `response` either way).
-  bool Hello(const std::string& encoding, JsonValue* response,
-             std::string* error) {
-    std::string request =
-        R"({"cmd":"HELLO","max_version":)" +
-        std::to_string(protocol::kMaxVersion) + R"(,"encodings":[)" +
-        JsonValue::String(encoding).Dump() + "]}";
-    std::optional<protocol::AnswerTable> none;
-    if (!Transact(request, response, &none, error)) return false;
-    if (!response->GetBool("ok")) {
-      *error = "HELLO failed: " + response->Dump();
-      return false;
-    }
-    if (response->GetString("encoding") != encoding) {
-      *error = "server declined encoding " + encoding + ": " +
-               response->Dump();
-      return false;
-    }
-    return true;
-  }
-
- private:
-  bool ReadLine(std::string* line) {
-    while (true) {
-      size_t newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        *line = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        return true;
-      }
-      if (!Fill()) return false;
-    }
-  }
-
-  bool ReadExact(size_t n, std::string* out) {
-    while (buffer_.size() < n) {
-      if (!Fill()) return false;
-    }
-    *out = buffer_.substr(0, n);
-    buffer_.erase(0, n);
-    return true;
-  }
-
-  bool Fill() {
-    char chunk[65536];
-    ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (n <= 0) return false;
-    buffer_.append(chunk, static_cast<size_t>(n));
-    return true;
-  }
-
-  int fd_ = -1;
-  std::string buffer_;
-};
 
 struct Endpoint {
   bool use_unix = false;
@@ -261,16 +101,25 @@ struct Endpoint {
   std::string unix_path;
   std::string encoding;  // empty = no HELLO, plain v1
 
-  std::unique_ptr<Connection> Dial(std::string* error) const {
-    auto connection = std::make_unique<Connection>();
-    bool ok = use_unix ? connection->ConnectUnix(unix_path, error)
-                       : connection->ConnectTcp(host, port, error);
+  /// Connects and, when an encoding was requested, fails unless HELLO
+  /// negotiates exactly that encoding.
+  std::unique_ptr<Client> Dial(std::string* error) const {
+    auto client = std::make_unique<Client>();
+    bool ok = use_unix ? client->ConnectUnix(unix_path, error)
+                       : client->ConnectTcp(host, port, error);
     if (!ok) return nullptr;
     if (!encoding.empty()) {
-      JsonValue response;
-      if (!connection->Hello(encoding, &response, error)) return nullptr;
+      std::optional<protocol::Response> hello =
+          client->Hello(encoding, error);
+      if (!hello.has_value()) return nullptr;
+      if (!hello->body.GetBool("ok") ||
+          hello->body.GetString("encoding") != encoding) {
+        *error = "server declined encoding " + encoding + ": " +
+                 hello->body.Dump();
+        return nullptr;
+      }
     }
-    return connection;
+    return client;
   }
 };
 
@@ -300,30 +149,18 @@ std::vector<std::vector<std::string>> ExpectedAnswers(
   return rendered;
 }
 
-std::vector<std::vector<std::string>> AnswersFromJson(
-    const JsonValue& response) {
+/// The answer rows of a response under either encoding: ToJson inlines
+/// a decoded binary frame exactly as the JSON encoding carries the rows.
+std::vector<std::vector<std::string>> AnswerRows(
+    const protocol::Response& response) {
   std::vector<std::vector<std::string>> rows;
-  const JsonValue* answers = response.Find("answers");
+  JsonValue json = response.ToJson();
+  const JsonValue* answers = json.Find("answers");
   if (answers == nullptr || !answers->is_array()) return rows;
   for (const JsonValue& row : answers->Items()) {
     std::vector<std::string> tuple;
     for (const JsonValue& cell : row.Items()) {
       tuple.push_back(cell.is_string() ? cell.AsString() : cell.Dump());
-    }
-    rows.push_back(std::move(tuple));
-  }
-  return rows;
-}
-
-std::vector<std::vector<std::string>> AnswersFromTable(
-    const protocol::AnswerTable& table) {
-  std::vector<std::vector<std::string>> rows;
-  rows.reserve(table.rows());
-  for (size_t r = 0; r < table.rows(); ++r) {
-    std::vector<std::string> tuple;
-    tuple.reserve(table.columns);
-    for (size_t c = 0; c < table.columns; ++c) {
-      tuple.push_back(table.cells[r * table.columns + c]);
     }
     rows.push_back(std::move(tuple));
   }
@@ -367,8 +204,8 @@ bool RunClientThread(const Endpoint& endpoint, const std::string& session,
                      const std::vector<std::vector<std::vector<std::string>>>&
                          expected) {
   std::string error;
-  std::unique_ptr<Connection> connection = endpoint.Dial(&error);
-  if (connection == nullptr) {
+  std::unique_ptr<Client> client = endpoint.Dial(&error);
+  if (client == nullptr) {
     std::fprintf(stderr, "client: %s\n", error.c_str());
     return false;
   }
@@ -381,44 +218,42 @@ bool RunClientThread(const Endpoint& endpoint, const std::string& session,
       if (trace) request += ",\"trace\":true";
       request += "}";
       while (true) {
-        JsonValue response;
-        std::optional<protocol::AnswerTable> table;
-        if (!connection->Transact(request, &response, &table, &error)) {
+        std::optional<protocol::Response> response =
+            client->Call(request, &error);
+        if (!response.has_value()) {
           std::fprintf(stderr, "client: %s\n", error.c_str());
           return false;
         }
-        if (!response.GetBool("ok")) {
+        const JsonValue& body = response->body;
+        if (!body.GetBool("ok")) {
           // Admission-control rejections are part of normal operation
           // under a 16-client burst: honor the retry hint, fail on
           // anything else.
-          const JsonValue* detail = response.Find("error");
+          const JsonValue* detail = body.Find("error");
           if (detail != nullptr &&
               detail->GetString("code") == "EBUSY") {
             continue;
           }
           std::fprintf(stderr, "client: query failed: %s\n",
-                       response.Dump().c_str());
+                       body.Dump().c_str());
           return false;
         }
         served->fetch_add(1, std::memory_order_relaxed);
-        if (trace && !CheckTrace(response, &error)) {
+        if (trace && !CheckTrace(body, &error)) {
           std::fprintf(stderr, "client: %s\n", error.c_str());
           return false;
         }
         // A binary connection must get frames, a JSON one inline rows.
-        if (endpoint.encoding == "binary" && !table.has_value()) {
+        if (endpoint.encoding == "binary" && !response->answers.has_value()) {
           std::fprintf(
               stderr,
               "client: negotiated binary but got inline answers\n");
           return false;
         }
-        std::vector<std::vector<std::string>> got =
-            table.has_value() ? AnswersFromTable(*table)
-                              : AnswersFromJson(response);
-        if (got != expected[q]) {
+        if (AnswerRows(*response) != expected[q]) {
           std::fprintf(stderr,
                        "client: ANSWER MISMATCH on query %zu:\n  got  %s\n",
-                       q, response.Dump().c_str());
+                       q, response->ToJson().Dump().c_str());
           return false;
         }
         break;
@@ -458,25 +293,24 @@ int RunRoundTrip(const Endpoint& endpoint, const std::string& path,
 
   // Load the session over the wire.
   std::string error;
-  std::unique_ptr<Connection> connection = endpoint.Dial(&error);
-  if (connection == nullptr) {
+  std::unique_ptr<Client> client = endpoint.Dial(&error);
+  if (client == nullptr) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
   const std::string session = "roundtrip";
-  JsonValue loaded;
-  std::optional<protocol::AnswerTable> no_table;
-  if (!connection->Transact("{\"cmd\":\"LOAD_PROGRAM\",\"session\":" +
-                                EscapeJson(session) +
-                                ",\"replace\":true,\"program\":" +
-                                EscapeJson(text.str()) + "}",
-                            &loaded, &no_table, &error)) {
+  std::optional<protocol::Response> loaded =
+      client->Call("{\"cmd\":\"LOAD_PROGRAM\",\"session\":" +
+                       EscapeJson(session) + ",\"replace\":true,\"program\":" +
+                       EscapeJson(text.str()) + "}",
+                   &error);
+  if (!loaded.has_value()) {
     std::fprintf(stderr, "LOAD_PROGRAM: %s\n", error.c_str());
     return 1;
   }
-  if (!loaded.GetBool("ok")) {
+  if (!loaded->body.GetBool("ok")) {
     std::fprintf(stderr, "LOAD_PROGRAM failed: %s\n",
-                 loaded.Dump().c_str());
+                 loaded->body.Dump().c_str());
     return 1;
   }
 
@@ -494,29 +328,26 @@ int RunRoundTrip(const Endpoint& endpoint, const std::string& path,
   for (std::thread& t : client_threads) t.join();
 
   // Wrap up with a STATS probe so the e2e run also exercises it.
-  JsonValue stats;
-  if (connection->Transact("{\"cmd\":\"STATS\",\"session\":" +
-                               EscapeJson(session) + "}",
-                           &stats, &no_table, &error)) {
-    std::fprintf(stderr, "stats: %s\n", stats.Dump().c_str());
+  std::optional<protocol::Response> stats = client->Call(
+      "{\"cmd\":\"STATS\",\"session\":" + EscapeJson(session) + "}", &error);
+  if (stats.has_value()) {
+    std::fprintf(stderr, "stats: %s\n", stats->body.Dump().c_str());
   }
   if (trace) {
     // One sample traced query on the control connection so the span
     // breakdown is visible in the run output (and counted in served).
-    JsonValue traced;
-    std::optional<protocol::AnswerTable> table;
-    if (connection->Transact("{\"cmd\":\"QUERY\",\"session\":" +
-                                 EscapeJson(session) +
-                                 ",\"query_index\":0,\"engine\":" +
-                                 EscapeJson(engine) + ",\"trace\":true}",
-                             &traced, &table, &error) &&
-        traced.GetBool("ok")) {
+    std::optional<protocol::Response> traced =
+        client->Call("{\"cmd\":\"QUERY\",\"session\":" + EscapeJson(session) +
+                         ",\"query_index\":0,\"engine\":" +
+                         EscapeJson(engine) + ",\"trace\":true}",
+                     &error);
+    if (traced.has_value() && traced->body.GetBool("ok")) {
       served.fetch_add(1, std::memory_order_relaxed);
-      if (!CheckTrace(traced, &error)) {
+      if (!CheckTrace(traced->body, &error)) {
         std::fprintf(stderr, "trace: %s\n", error.c_str());
         return 1;
       }
-      const JsonValue* spans = traced.Find("trace");
+      const JsonValue* spans = traced->body.Find("trace");
       std::fprintf(stderr, "trace spans (us):");
       for (const char* key : kSpanKeys) {
         std::fprintf(stderr, " %s=%.0f", key, spans->Find(key)->AsNumber());
@@ -543,103 +374,80 @@ int RunRoundTrip(const Endpoint& endpoint, const std::string& path,
   return 0;
 }
 
-/// --metrics: one METRICS request, pretty-printed one metric per line —
-/// counters/gauges as `name{labels} = value`, histograms as their count
-/// and sum. The raw JSON is available via the raw mode when needed.
-int RunMetrics(const Endpoint& endpoint) {
+/// --metrics: the registry snapshot as Prometheus exposition text —
+/// scraped with one METRICS request when `endpoint` is set, otherwise a
+/// saved METRICS response (or its bare "metrics" array) read from stdin.
+int RunMetrics(const Endpoint* endpoint) {
+  std::string out;
   std::string error;
-  std::unique_ptr<Connection> connection = endpoint.Dial(&error);
-  if (connection == nullptr) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
-  }
-  JsonValue response;
-  std::optional<protocol::AnswerTable> no_table;
-  if (!connection->Transact("{\"cmd\":\"METRICS\"}", &response, &no_table,
-                            &error)) {
-    std::fprintf(stderr, "METRICS: %s\n", error.c_str());
-    return 1;
-  }
-  const JsonValue* metrics = response.Find("metrics");
-  if (!response.GetBool("ok") || metrics == nullptr ||
-      !metrics->is_array()) {
-    std::fprintf(stderr, "METRICS failed: %s\n", response.Dump().c_str());
-    return 1;
-  }
-  for (const JsonValue& metric : metrics->Items()) {
-    std::string line = metric.GetString("name");
-    const JsonValue* labels = metric.Find("labels");
-    if (labels != nullptr && !labels->Members().empty()) {
-      line += "{";
-      bool first = true;
-      for (const auto& [key, value] : labels->Members()) {
-        if (!first) line += ",";
-        first = false;
-        line += key + "=" + EscapeJson(value.AsString());
-      }
-      line += "}";
+  if (endpoint == nullptr) {
+    std::stringstream text;
+    text << std::cin.rdbuf();
+    if (!prometheus::RenderDocumentText(text.str(), &out, &error)) {
+      std::fprintf(stderr, "--metrics: %s\n", error.c_str());
+      return 1;
     }
-    if (metric.GetString("type") == "histogram") {
-      std::printf("%s count=%llu sum=%llu\n", line.c_str(),
-                  static_cast<unsigned long long>(metric.GetUint("count")),
-                  static_cast<unsigned long long>(metric.GetUint("sum")));
-    } else {
-      const JsonValue* value = metric.Find("value");
-      std::printf("%s = %.0f\n", line.c_str(),
-                  value != nullptr ? value->AsNumber() : 0.0);
+  } else {
+    std::unique_ptr<Client> client = endpoint->Dial(&error);
+    std::optional<protocol::Response> response;
+    if (client != nullptr) {
+      response = client->Call(R"({"cmd":"METRICS"})", &error);
+    }
+    if (!response.has_value()) {
+      std::fprintf(stderr, "METRICS: %s\n", error.c_str());
+      return 1;
+    }
+    const JsonValue* metrics = response->body.Find("metrics");
+    if (!response->body.GetBool("ok") || metrics == nullptr ||
+        !prometheus::RenderMetricsText(*metrics, &out)) {
+      std::fprintf(stderr, "METRICS failed: %s\n",
+                   response->body.Dump().c_str());
+      return 1;
     }
   }
+  std::fputs(out.c_str(), stdout);
   return 0;
 }
 
 int RunHello(const Endpoint& endpoint) {
   // Dial without the automatic handshake so a declined encoding is a
-  // printable outcome here, not a connect failure.
+  // printable outcome here, not a connect failure. With no --encoding,
+  // offer binary: the server falls back to JSON when it does not allow it.
   Endpoint plain = endpoint;
   plain.encoding.clear();
   std::string error;
-  std::unique_ptr<Connection> connection = plain.Dial(&error);
-  if (connection == nullptr) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
+  std::unique_ptr<Client> client = plain.Dial(&error);
+  std::optional<protocol::Response> response;
+  if (client != nullptr) {
+    response = client->Hello(
+        endpoint.encoding.empty() ? "binary" : endpoint.encoding, &error);
   }
-  std::string prefs = endpoint.encoding.empty()
-                          ? "\"binary\",\"json\""
-                          : EscapeJson(endpoint.encoding);
-  JsonValue response;
-  std::optional<protocol::AnswerTable> no_table;
-  if (!connection->Transact(R"({"cmd":"HELLO","max_version":)" +
-                                std::to_string(protocol::kMaxVersion) +
-                                R"(,"encodings":[)" + prefs + "]}",
-                            &response, &no_table, &error)) {
+  if (!response.has_value()) {
     std::fprintf(stderr, "HELLO: %s\n", error.c_str());
     return 1;
   }
-  std::printf("%s\n", response.Dump().c_str());
-  return response.GetBool("ok") ? 0 : 1;
+  std::printf("%s\n", response->body.Dump().c_str());
+  return response->body.GetBool("ok") ? 0 : 1;
 }
 
 int RunRaw(const Endpoint& endpoint) {
   std::string error;
-  std::unique_ptr<Connection> connection = endpoint.Dial(&error);
-  if (connection == nullptr) {
+  std::unique_ptr<Client> client = endpoint.Dial(&error);
+  if (client == nullptr) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
   std::string line;
   while (std::getline(std::cin, line)) {
     if (line.empty()) continue;
-    JsonValue response;
-    std::optional<protocol::AnswerTable> table;
-    if (!connection->Transact(line, &response, &table, &error)) {
+    std::optional<protocol::Response> response = client->Call(line, &error);
+    if (!response.has_value()) {
       std::fprintf(stderr, "%s\n", error.c_str());
       return 1;
     }
     // Keep stdout line-oriented: a decoded frame is re-inlined exactly
     // the way the JSON encoding would have carried it.
-    protocol::Response model(std::move(response));
-    model.answers = std::move(table);
-    std::printf("%s\n", model.ToJson().Dump().c_str());
+    std::printf("%s\n", response->ToJson().Dump().c_str());
     std::fflush(stdout);
   }
   return 0;
@@ -713,7 +521,13 @@ int main(int argc, char** argv) {
       return Usage(argv[0]);
     }
   }
-  if (serve == have_endpoint) return Usage(argv[0]);  // exactly one
+  if (serve && have_endpoint) return Usage(argv[0]);
+  // --metrics alone converts a saved snapshot; every other mode needs
+  // exactly one endpoint.
+  if (!serve && !have_endpoint) {
+    return metrics && !hello && roundtrip_path.empty() ? RunMetrics(nullptr)
+                                                       : Usage(argv[0]);
+  }
 
   std::unique_ptr<Server> server;
   if (serve) {
@@ -734,7 +548,7 @@ int main(int argc, char** argv) {
   if (hello) {
     status = RunHello(endpoint);
   } else if (metrics) {
-    status = RunMetrics(endpoint);
+    status = RunMetrics(&endpoint);
   } else if (roundtrip_path.empty()) {
     status = RunRaw(endpoint);
   } else {
@@ -744,5 +558,3 @@ int main(int argc, char** argv) {
   if (server != nullptr) server->Stop();
   return status;
 }
-
-#endif  // _WIN32
